@@ -38,7 +38,6 @@ from .store import (
     Archive,
     Release,
     Review,
-    ScoredReview,
     import_releases,
     load_archive,
     save_archive,
@@ -56,7 +55,6 @@ __all__ = [
     "Polarity",
     "Release",
     "Review",
-    "ScoredReview",
     "SentimentScore",
     "Token",
     "TokenKind",

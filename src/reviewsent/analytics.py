@@ -18,10 +18,12 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
-from .combine import Polarity, combine, polarity_class
-from .store import Archive
+# combine is unused here but stays bound: benchmarks/selftest.py asserts that
+# benchmarks/traced.py finds and wraps this binding
+from .combine import Polarity, combine, polarity_class  # noqa: F401
+from .store import Archive, ScoredRow
 
 STRONG_NEGATIVE_CUTOFF = -4  # combined <= -4 counts as strongly negative
 OVERALL_CATEGORY = "ALL"
@@ -156,37 +158,11 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 # --- archive aggregation ---------------------------------------------------
 
 
-def _scored_rows(archive: Archive) -> list[tuple[str, bool, int, int | None, float]]:
-    """(category, is_free, rating, combined, price) per review; all scored."""
-    missing_apps: set[str] = set()
-    unscored = 0
-    rows: list[tuple[str, bool, int, int | None, float]] = []
-    for key in sorted(archive.reviews):
-        review = archive.reviews[key]
-        app = archive.apps.get(review.app_id)
-        if app is None:
-            missing_apps.add(review.app_id)
-            continue
-        score = archive.scores.get(key)
-        if score is None:
-            unscored += 1
-            continue
-        rows.append(
-            (app.primary_category, app.is_free, review.rating, combine(score), app.price)
-        )
-    if missing_apps:
-        raise ValueError(f"reviews reference unknown apps: {sorted(missing_apps)}")
-    if unscored:
-        raise ValueError(f"{unscored} reviews have no score; run score first")
-    return rows
-
-
 def summarize_by_category(archive: Archive) -> list[CategorySummary]:
     """Per-category counts, central statistics, and polarity shares."""
-    rows = _scored_rows(archive)
-    by_category: dict[str, list[tuple[bool, int | None]]] = {}
-    for category, is_free, _rating, combined, _price in rows:
-        by_category.setdefault(category, []).append((is_free, combined))
+    by_category: dict[str, list[ScoredRow]] = {}
+    for row in archive.scored_rows():
+        by_category.setdefault(row.category, []).append(row)
     return [
         _summarize_category(category, members)
         for category, members in sorted(by_category.items())
@@ -195,21 +171,16 @@ def summarize_by_category(archive: Archive) -> list[CategorySummary]:
 
 def overall_summary(archive: Archive) -> CategorySummary:
     """One summary row over the whole archive, labeled ``ALL``."""
-    rows = _scored_rows(archive)
-    return _summarize_category(
-        OVERALL_CATEGORY, [(is_free, combined) for _, is_free, _, combined, _ in rows]
-    )
+    return _summarize_category(OVERALL_CATEGORY, archive.scored_rows())
 
 
-def _summarize_category(
-    category: str, members: list[tuple[bool, int | None]]
-) -> CategorySummary:
+def _summarize_category(category: str, members: list[ScoredRow]) -> CategorySummary:
     total = len(members)
-    n_free = sum(1 for is_free, _ in members if is_free)
-    defined = [c for _, c in members if c is not None]
+    n_free = sum(1 for row in members if row.is_free)
+    defined = [row.combined for row in members if row.combined is not None]
     shares = {polarity: 0 for polarity in Polarity}
-    for _, combined in members:
-        shares[polarity_class(combined)] += 1
+    for row in members:
+        shares[polarity_class(row.combined)] += 1
     return CategorySummary(
         category=category,
         n_free=n_free,
@@ -230,11 +201,10 @@ def sentiment_by_rating(archive: Archive) -> dict[int, RatingSummary]:
 
     Stars with no defined sentiment are absent from the result.
     """
-    rows = _scored_rows(archive)
     buckets: dict[int, list[int]] = {}
-    for _, _, rating, combined, _ in rows:
-        if combined is not None:
-            buckets.setdefault(rating, []).append(combined)
+    for row in archive.scored_rows():
+        if row.combined is not None:
+            buckets.setdefault(row.rating, []).append(row.combined)
     summaries: dict[int, RatingSummary] = {}
     for rating, values in sorted(buckets.items()):
         q1 = quantile(values, 0.25)
@@ -263,32 +233,27 @@ def sentiment_vs_rating(
     archive: Archive, include_neutral: bool = True
 ) -> CorrelationResult:
     """Correlation of star rating with combined sentiment, review-level pairs."""
-    rows = _scored_rows(archive)
-    pairs = [
-        (float(rating), float(combined))
-        for _, _, rating, combined, _ in rows
-        if combined is not None and (include_neutral or combined != 0)
-    ]
-    return _correlate(pairs)
+    return _correlate(archive, lambda row: float(row.rating), include_neutral)
 
 
 def sentiment_vs_price(
     archive: Archive, include_neutral: bool = True
 ) -> CorrelationResult:
     """Correlation of app price with combined sentiment, review-level pairs."""
-    rows = _scored_rows(archive)
-    pairs = [
-        (price, float(combined))
-        for _, _, _, combined, price in rows
-        if combined is not None and (include_neutral or combined != 0)
+    return _correlate(archive, lambda row: row.price, include_neutral)
+
+
+def _correlate(
+    archive: Archive, x_of: Callable[[ScoredRow], float], include_neutral: bool
+) -> CorrelationResult:
+    rows = [
+        row
+        for row in archive.scored_rows()
+        if row.combined is not None and (include_neutral or row.combined != 0)
     ]
-    return _correlate(pairs)
-
-
-def _correlate(pairs: list[tuple[float, float]]) -> CorrelationResult:
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    return CorrelationResult(pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(pairs))
+    xs = [x_of(row) for row in rows]
+    ys = [float(row.combined) for row in rows]
+    return CorrelationResult(pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(rows))
 
 
 # --- per-topic dispersion --------------------------------------------------
@@ -405,44 +370,6 @@ def write_category_report(
                 _fmt(s.share_neutral),
                 _fmt(s.share_negative),
                 _fmt(s.share_undefined),
-            ]
-        )
-
-
-def write_rating_report(
-    summaries: Mapping[int, RatingSummary], stream: IO[str]
-) -> None:
-    out = _writer(stream)
-    out.writerow(
-        [
-            "rating",
-            "n",
-            "min",
-            "q1",
-            "median",
-            "q3",
-            "max",
-            "whisker_low",
-            "whisker_high",
-            "n_outliers",
-            "n_strong_negative",
-        ]
-    )
-    for rating in sorted(summaries):
-        s = summaries[rating]
-        out.writerow(
-            [
-                s.rating,
-                s.n,
-                _fmt(s.minimum),
-                _fmt(s.q1),
-                _fmt(s.median),
-                _fmt(s.q3),
-                _fmt(s.maximum),
-                _fmt(s.whisker_low),
-                _fmt(s.whisker_high),
-                s.n_outliers,
-                s.n_strong_negative,
             ]
         )
 

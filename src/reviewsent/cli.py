@@ -21,7 +21,9 @@ from typing import IO
 from . import analytics, emojis, temporal
 from .client import ClientConfig, ClientError, StoreClient
 from .combine import combine
-from .engine import score_review, score_text
+# score_text is unused here but stays bound: benchmarks/selftest.py asserts that
+# benchmarks/traced.py finds and wraps this binding
+from .engine import score_review, score_text  # noqa: F401
 from .lexicon import (
     Lexicon,
     LexiconError,
@@ -63,8 +65,11 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _load_archive(args) -> Archive:
-    archive_path = _require_file(args.archive, "archive")
-    return load_archive(archive_path)
+    """The archive named by ``--archive``; it must hold reviews."""
+    archive = load_archive(_require_file(args.archive, "archive"))
+    if not archive.reviews:
+        raise CliError("archive has no reviews; run ingest first")
+    return archive
 
 
 def _load_lexicon(args) -> Lexicon:
@@ -170,8 +175,6 @@ def cmd_score(args) -> int:
     lexicon = _load_lexicon(args)
     emoji_lexicon = _load_emoji_lexicon(args)
     archive = _load_archive(args)
-    if not archive.reviews:
-        raise CliError("archive has no reviews; run ingest first")
     for app_id, review_id in sorted(archive.reviews):
         review = archive.reviews[(app_id, review_id)]
         archive.set_score(app_id, review_id, score_review(lexicon, review, emoji_lexicon))
@@ -187,7 +190,6 @@ def cmd_score(args) -> int:
 
 def cmd_summarize(args) -> int:
     archive = _load_archive(args)
-    _require_scored(archive)
     summaries = analytics.summarize_by_category(archive)
     summaries.append(analytics.overall_summary(archive))
     _write_report(args, lambda out: analytics.write_category_report(summaries, out))
@@ -196,7 +198,6 @@ def cmd_summarize(args) -> int:
 
 def cmd_correlate(args) -> int:
     archive = _load_archive(args)
-    _require_scored(archive)
     include_neutral = not args.exclude_neutral
     if args.target == "rating":
         result = analytics.sentiment_vs_rating(archive, include_neutral=include_neutral)
@@ -215,12 +216,9 @@ def cmd_topics(args) -> int:
         rows, rejects = analytics.parse_topic_rows(stream)
     for lineno, reason in rejects:
         print(f"labeled: rejected line {lineno}: {reason}", file=sys.stderr)
-    labeled = []
-    for row in rows:
-        text = f"{row.title} {row.body}"
-        if emoji_lexicon is not None:
-            text = emojis.substitute_emojis(text, emoji_lexicon)
-        labeled.append((row.topic, combine(score_text(lexicon, text))))
+    labeled = [
+        (row.topic, combine(score_review(lexicon, row, emoji_lexicon))) for row in rows
+    ]
     stats = analytics.dispersion_by_topic(labeled)
     _write_report(args, lambda out: analytics.write_dispersion_report(stats, out))
     return 0
@@ -245,27 +243,19 @@ def cmd_patterns(args) -> int:
         low_variance=args.low_variance,
         min_weekly_reviews=args.min_weekly_reviews,
     )
-    rows = []
-    for app_id in temporal.qualifying_apps(
+    app_ids = temporal.qualifying_apps(
         archive, args.window_start, args.window_end, args.min_reviews
+    )
+    rows = []
+    for series in temporal.weekly_aggregates(
+        archive, app_ids, args.window_start, args.window_end
     ):
-        series = temporal.weekly_aggregate(
-            archive, app_id, args.window_start, args.window_end
-        )
         try:
-            rows.append((app_id, temporal.classify_patterns(series, config)))
+            rows.append((series.app_id, temporal.classify_patterns(series, config)))
         except ValueError as exc:
-            print(f"app {app_id}: {exc}", file=sys.stderr)
+            print(f"app {series.app_id}: {exc}", file=sys.stderr)
     _write_report(args, lambda out: temporal.write_pattern_report(rows, out))
     return 0
-
-
-def _require_scored(archive: Archive) -> None:
-    if not archive.reviews:
-        raise CliError("archive has no reviews; run ingest first")
-    unscored = [key for key in archive.reviews if key not in archive.scores]
-    if unscored:
-        raise CliError(f"{len(unscored)} reviews are unscored; run score first")
 
 
 # --- parser -------------------------------------------------------------------

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Mapping
 
+from .lexicon import LexiconError
+
 POLARITIES = (-1, 0, 1)
 
 # ":|" must stay absent from the emoticon dictionary so neutral emojis
@@ -24,14 +26,8 @@ DEFAULT_SUBSTITUTIONS: Mapping[int, str] = {1: ":)", -1: ":(", 0: ":|"}
 DEFAULT_MIN_OCCURRENCES = 100
 
 
-class EmojiLexiconError(ValueError):
+class EmojiLexiconError(LexiconError):
     """Malformed emoji lexicon input."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,8 @@ def score_review(
     review: "Review",
     emoji_lexicon: EmojiLexicon | None = None,
 ) -> SentimentScore:
-    """Score one review: title and body joined by a space.
+    """Score one review, or any object with ``.title`` and ``.body``:
+    title and body joined by a space.
 
     When an emoji lexicon is given, emojis are rewritten to emoticon
     tokens before scoring.

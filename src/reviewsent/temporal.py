@@ -22,7 +22,9 @@ from enum import Enum
 from typing import IO, Iterable, Sequence
 
 from .analytics import sample_sd
-from .combine import combine
+# combine is unused here but stays bound: benchmarks/selftest.py asserts that
+# benchmarks/traced.py finds and wraps this binding
+from .combine import combine  # noqa: F401
 from .store import Archive
 
 MIN_PATTERN_POINTS = 8
@@ -121,54 +123,63 @@ class ReleaseImpact:
 def weekly_aggregate(
     archive: Archive, app_id: str, start: dt.date, end: dt.date
 ) -> WeeklySeries:
-    """Weekly series of one app over [start, end], consecutive 7-day bins.
+    """Weekly series of one app over [start, end]; see :func:`weekly_aggregates`."""
+    return weekly_aggregates(archive, [app_id], start, end)[0]
 
-    Only reviews with a defined combined sentiment contribute; they must
-    all be scored. Releases inside the window are mapped to the same bins.
+
+def weekly_aggregates(
+    archive: Archive, app_ids: Sequence[str], start: dt.date, end: dt.date
+) -> list[WeeklySeries]:
+    """Weekly series of each app over [start, end], consecutive 7-day bins.
+
+    One pass over the archive's scored view bins every app's reviews;
+    only reviews with a defined combined sentiment contribute, and every
+    review in the archive must be scored. Releases inside the window are
+    mapped to the same bins.
     """
     if start > end:
         raise ValueError(f"start {start} after end {end}")
-    if app_id not in archive.apps:
-        raise ValueError(f"app {app_id!r} not in archive")
+    for app_id in app_ids:
+        if app_id not in archive.apps:
+            raise ValueError(f"app {app_id!r} not in archive")
     n_weeks = (end - start).days // 7 + 1
-    count = [0] * n_weeks
-    combined_sum = [0.0] * n_weeks
-    length_sum = [0] * n_weeks
-    for key in sorted(archive.reviews):
-        review = archive.reviews[key]
-        if review.app_id != app_id or not start <= review.date <= end:
+    # per app: review count, combined sum and text length sum of each week
+    bins = {app_id: ([0] * n_weeks, [0.0] * n_weeks, [0] * n_weeks) for app_id in app_ids}
+    for row in archive.scored_rows():
+        app_bins = bins.get(row.app_id)
+        if app_bins is None or row.combined is None or not start <= row.date <= end:
             continue
-        score = archive.scores.get(key)
-        if score is None:
-            raise ValueError(
-                f"review {review.review_id} of app {app_id} has no score; run score first"
+        count, combined_sum, length_sum = app_bins
+        week = (row.date - start).days // 7
+        count[week] += 1
+        combined_sum[week] += row.combined
+        length_sum[week] += row.text_length
+    releases: dict[str, list[tuple[int, str]]] = {app_id: [] for app_id in app_ids}
+    for release in archive.releases.values():
+        if release.app_id in releases and start <= release.date <= end:
+            week = (release.date - start).days // 7
+            releases[release.app_id].append((week, release.version))
+    series = []
+    for app_id in app_ids:
+        count, combined_sum, length_sum = bins[app_id]
+        points = tuple(
+            WeekPoint(
+                week_index=week,
+                mean_combined=combined_sum[week] / count[week] if count[week] else None,
+                n_reviews=count[week],
+                mean_length=length_sum[week] / count[week] if count[week] else None,
             )
-        combined = combine(score)
-        if combined is None:
-            continue
-        bin_index = (review.date - start).days // 7
-        count[bin_index] += 1
-        combined_sum[bin_index] += combined
-        length_sum[bin_index] += review.text_length
-    points = tuple(
-        WeekPoint(
-            week_index=week,
-            mean_combined=combined_sum[week] / count[week] if count[week] else None,
-            n_reviews=count[week],
-            mean_length=length_sum[week] / count[week] if count[week] else None,
+            for week in range(n_weeks)
         )
-        for week in range(n_weeks)
-    )
-    releases = tuple(
-        sorted(
-            ((release.date - start).days // 7, release.version)
-            for release in archive.releases.values()
-            if release.app_id == app_id and start <= release.date <= end
+        series.append(
+            WeeklySeries(
+                app_id=app_id,
+                start_date=start,
+                points=points,
+                releases=tuple(sorted(releases[app_id])),
+            )
         )
-    )
-    return WeeklySeries(
-        app_id=app_id, start_date=start, points=points, releases=releases
-    )
+    return series
 
 
 # --- pattern classification -------------------------------------------------

@@ -116,6 +116,30 @@ def test_timeline_before_score_fails(fixture_archive, capsys):
     assert "run score first" in capsys.readouterr().err
 
 
+def test_timeline_refuses_unscored_review_of_another_app(fixture_archive, capsys):
+    from helpers import make_review
+
+    assert run(["score", "--archive", fixture_archive]) == 0
+    archive = load_archive(fixture_archive)
+    archive.add_review(make_review("app1", "late"))
+    save_archive(archive, fixture_archive)
+    rc = run(
+        [
+            "timeline",
+            "--archive",
+            fixture_archive,
+            "--app-id",
+            "app0",
+            "--from",
+            "2016-01-04",
+            "--to",
+            "2016-12-18",
+        ]
+    )
+    assert rc == 1
+    assert "run score first" in capsys.readouterr().err
+
+
 def test_correlate_monotone_fixture(tmp_path, capsys):
     # texts chosen so combined sentiment rises strictly with the rating
     from helpers import make_app

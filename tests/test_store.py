@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from reviewsent.combine import combine
 from reviewsent.engine import SentimentScore
 from reviewsent.store import (
     Archive,
@@ -14,7 +15,6 @@ from reviewsent.store import (
     ArchiveLockedError,
     Release,
     Review,
-    ScoredReview,
     archive_lock,
     import_releases,
     load_archive,
@@ -49,30 +49,55 @@ def test_app_is_free_tracks_price():
         make_app("a", price=-1.0)
 
 
-def test_scored_review_checks_combined():
-    review = make_review("app1", "r1")
-    score = SentimentScore(3, -4)
-    assert ScoredReview(review, score, -4).combined == -4
-    with pytest.raises(ArchiveError):
-        ScoredReview(review, score, 3)
-
-
 def test_set_score_requires_review():
     archive = Archive()
     with pytest.raises(ArchiveError):
         archive.set_score("app1", "missing", SentimentScore(1, -1))
 
 
-def test_scored_reviews_iterate_in_key_order_with_combined():
+def test_scored_rows_follow_key_order_with_combined_and_length():
+    archive = Archive()
+    archive.add_app(make_app("app2", category="News", price=0.99))
+    archive.add_app(make_app("app1"))
+    archive.add_review(make_review("app2", "r0", rating=1, title="", body="xyz"))
+    archive.add_review(make_review("app1", "r2", rating=4, title="ab", body="cde"))
+    archive.add_review(make_review("app1", "r1", rating=5))
+    scores = {
+        ("app2", "r0"): SentimentScore(4, -4),
+        ("app1", "r2"): SentimentScore(3, -4),
+        ("app1", "r1"): SentimentScore(5, -1),
+    }
+    for (app_id, review_id), score in scores.items():
+        archive.set_score(app_id, review_id, score)
+    rows = archive.scored_rows()
+    assert [(row.app_id, row.rating) for row in rows] == [
+        ("app1", 5),
+        ("app1", 4),
+        ("app2", 1),
+    ]
+    assert [row.combined for row in rows] == [
+        combine(scores[key]) for key in sorted(scores)
+    ] == [5, -4, None]
+    assert [row.text_length for row in rows] == [len("a title") + len("a body"), 5, 3]
+    assert (rows[2].category, rows[2].is_free, rows[2].price) == ("News", False, 0.99)
+    assert rows[0].date == make_review("app1", "r1").date
+    assert Archive().scored_rows() == []
+
+
+def test_scored_rows_refuse_unscored_review_and_unknown_app():
     archive = Archive()
     archive.add_app(make_app("app1"))
-    archive.add_review(make_review("app1", "r2"))
     archive.add_review(make_review("app1", "r1"))
-    archive.set_score("app1", "r2", SentimentScore(3, -4))
-    archive.set_score("app1", "r1", SentimentScore(5, -1))
-    scored = list(archive.scored_reviews())
-    assert [s.review.review_id for s in scored] == ["r1", "r2"]
-    assert [s.combined for s in scored] == [5, -4]
+    archive.add_review(make_review("app1", "r2"))
+    archive.set_score("app1", "r1", SentimentScore(2, -1))
+    with pytest.raises(ArchiveError, match="1 reviews have no score; run score first"):
+        archive.scored_rows()
+
+    archive.set_score("app1", "r2", SentimentScore(2, -1))
+    archive.add_review(make_review("ghost", "r3"))
+    archive.set_score("ghost", "r3", SentimentScore(2, -1))
+    with pytest.raises(ArchiveError, match=r"unknown apps: \['ghost'\]"):
+        archive.scored_rows()
 
 
 def test_roundtrip_identity(tmp_path):

@@ -16,6 +16,7 @@ from reviewsent.temporal import (
     qualifying_apps,
     release_impact,
     weekly_aggregate,
+    weekly_aggregates,
     write_pattern_report,
     write_timeline,
 )
@@ -103,29 +104,49 @@ def test_undefined_reviews_not_counted():
 def test_review_count_conservation_and_order_invariance():
     from reviewsent.combine import combine
 
+    span = (WINDOW_END - WINDOW_START).days
     for seed in range(10):
         rng = random.Random(seed)
-        archive = random_archive(rng, n_apps=2, n_reviews=60)
-        series = weekly_aggregate(archive, "app0", WINDOW_START, WINDOW_END)
-        expected = sum(
-            1
-            for key, review in archive.reviews.items()
-            if review.app_id == "app0"
-            and WINDOW_START <= review.date <= WINDOW_END
-            and combine(archive.scores[key]) is not None
-        )
-        assert series.total_reviews == expected
+        archive = random_archive(rng, n_apps=4, n_reviews=120)
+        for i in range(12):
+            # some releases fall outside the window on either side
+            date = WINDOW_START + dt.timedelta(days=rng.randrange(-30, span + 30))
+            archive.add_release(Release(f"app{rng.randrange(4)}", f"1.{i}", date, ""))
+        app_ids = sorted(archive.apps)
+        all_series = weekly_aggregates(archive, app_ids, WINDOW_START, WINDOW_END)
+        assert [series.app_id for series in all_series] == app_ids
+        for app_id, series in zip(app_ids, all_series):
+            counts = [0] * len(series.points)
+            for key, review in archive.reviews.items():
+                if (
+                    review.app_id == app_id
+                    and WINDOW_START <= review.date <= WINDOW_END
+                    and combine(archive.scores[key]) is not None
+                ):
+                    counts[(review.date - WINDOW_START).days // 7] += 1
+            assert [p.n_reviews for p in series.points] == counts
+            assert list(series.releases) == sorted(
+                ((release.date - WINDOW_START).days // 7, release.version)
+                for release in archive.releases.values()
+                if release.app_id == app_id
+                and WINDOW_START <= release.date <= WINDOW_END
+            )
+            assert weekly_aggregate(archive, app_id, WINDOW_START, WINDOW_END) == series
 
         # rebuild the archive in a shuffled insertion order
         shuffled = Archive()
         items = list(archive.reviews.items())
         rng.shuffle(items)
-        for app_id, app in archive.apps.items():
-            shuffled.add_app(app)
+        releases = list(archive.releases.values())
+        rng.shuffle(releases)
+        for app_id in reversed(app_ids):
+            shuffled.add_app(archive.apps[app_id])
         for key, review in items:
             shuffled.add_review(review)
             shuffled.set_score(key[0], key[1], archive.scores[key])
-        assert weekly_aggregate(shuffled, "app0", WINDOW_START, WINDOW_END) == series
+        for release in releases:
+            shuffled.add_release(release)
+        assert weekly_aggregates(shuffled, app_ids, WINDOW_START, WINDOW_END) == all_series
 
 
 def test_releases_mapped_to_bins():
