@@ -72,12 +72,23 @@ class EmojiLexicon:
         return {entry.emoji: entry.polarity for entry in self.entries}
 
     @cached_property
-    def _pattern(self) -> re.Pattern[str] | None:
+    def _scanner(self) -> tuple[re.Pattern[str], dict[str, tuple[int, ...]]] | None:
+        """A pattern for one character in the range of first codepoints,
+        and the entry lengths (longest first) by first character.
+
+        Keep it to one range: ``re`` scans text against a single range
+        some thirty times faster than against an alternation of every
+        emoji or a class of many separate ranges.
+        """
         if not self.entries:
             return None
-        # longest sequence first so modifier/ZWJ variants win over bases
-        ordered = sorted((e.emoji for e in self.entries), key=lambda s: (-len(s), s))
-        return re.compile("|".join(re.escape(emoji) for emoji in ordered))
+        lengths: dict[str, set[int]] = {}
+        for entry in self.entries:
+            lengths.setdefault(entry.emoji[0], set()).add(len(entry.emoji))
+        first = f"[{re.escape(min(lengths))}-{re.escape(max(lengths))}]"
+        return re.compile(first), {
+            char: tuple(sorted(sizes, reverse=True)) for char, sizes in lengths.items()
+        }
 
 
 def load_emoji_lexicon(
@@ -139,28 +150,44 @@ def substitute_emojis(text: str, lexicon: EmojiLexicon) -> str:
     so the scorer sees them as standalone emoticons; all non-emoji
     characters are preserved in order.
     """
-    pattern = lexicon._pattern
-    if pattern is None:
+    scanner = lexicon._scanner
+    if scanner is None:
         return text
+    pattern, lengths_of = scanner
+    search = pattern.search
     polarity_of = lexicon._polarity_by_emoji
     pieces: list[str] = []
     tail = ""  # last character emitted so far
     pos = 0
-    for match in pattern.finditer(text):
-        lead = text[pos : match.start()]
+    hit = search(text)
+    while hit is not None:
+        start = hit.start()
+        # the longest entry at ``start`` wins, as modifier/ZWJ variants
+        # must win over their bases
+        for length in lengths_of.get(text[start], ()):
+            emoji = text[start : start + length]
+            polarity = polarity_of.get(emoji)
+            if polarity is not None:
+                break
+        else:
+            hit = search(text, start + 1)
+            continue
+        end = start + len(emoji)
+        lead = text[pos:start]
         if lead:
             pieces.append(lead)
             tail = lead[-1]
         if tail and not tail.isspace():
             pieces.append(" ")
-        token = lexicon.substitutions[polarity_of[match.group()]]
+        token = lexicon.substitutions[polarity]
         pieces.append(token)
         tail = token[-1] if token else tail
-        following = text[match.end() : match.end() + 1]
+        following = text[end : end + 1]
         if following and not following.isspace():
             pieces.append(" ")
             tail = " "
-        pos = match.end()
+        pos = end
+        hit = search(text, end)
     pieces.append(text[pos:])
     return "".join(pieces)
 

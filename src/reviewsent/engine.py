@@ -12,6 +12,14 @@ recognized greedily (longest first) before anything else, the rest is
 split on whitespace with leading/trailing punctuation peeled off into
 punctuation tokens. Normalized word forms are lowercased with letter
 runs of three or more collapsed to two ("soooo" -> "soo").
+
+``score_text`` applies these rules in a single pass and builds no
+tokens: one scan finds the emoticons, ``str.split`` cuts the text
+between them into whitespace chunks, and each chunk maps to the
+(score, boost) of the one word it holds, or to nothing when it is all
+punctuation. That mapping is remembered per lexicon in a memo of at
+most ``CHUNK_MEMO_LIMIT`` chunks. ``tokenize`` and ``TokenStream`` give
+the same tokens explicitly, for inspection and debugging.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .emojis import EmojiLexicon, substitute_emojis
-from .lexicon import Lexicon
+from .lexicon import Lexicon, emoticon_pattern
 
 if TYPE_CHECKING:
     from .store import Review
@@ -34,8 +42,13 @@ NEGATIVE_RANGE = (-5, -1)
 # how many tokens ahead a booster may reach
 BOOSTER_WINDOW = 2
 
+# distinct chunks remembered per lexicon; an unbounded memo grows with
+# the vocabulary of everything scored (40 MiB for 300k chunks)
+CHUNK_MEMO_LIMIT = 1 << 14
+
 _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 _CHUNK = re.compile(r"\S+")
+_UNSEEN = object()
 
 
 class TokenKind(Enum):
@@ -92,18 +105,14 @@ class SentimentScore:
 
 
 def _normalize_word(surface: str) -> str:
-    return _REPEATED_LETTERS.sub(r"\1\1", surface.lower())
+    word = surface.lower()
+    if _REPEATED_LETTERS.search(word):
+        word = _REPEATED_LETTERS.sub(r"\1\1", word)
+    return word
 
 
 def _is_punctuation(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
-
-
-def _emoticon_pattern(emoticons: Iterable[str]) -> re.Pattern[str] | None:
-    faces = sorted(emoticons, key=lambda f: (-len(f), f))
-    if not faces:
-        return None
-    return re.compile("|".join(re.escape(face) for face in faces))
 
 
 def tokenize(text: str, emoticons: Iterable[str] = ()) -> TokenStream:
@@ -113,7 +122,7 @@ def tokenize(text: str, emoticons: Iterable[str] = ()) -> TokenStream:
     before word splitting, so "nice:)" yields a word and an emoticon.
     """
     tokens: list[Token] = []
-    pattern = _emoticon_pattern(emoticons)
+    pattern = emoticon_pattern(emoticons)
     spans = (
         [(m.start(), m.end()) for m in pattern.finditer(text)] if pattern else []
     )
@@ -149,13 +158,22 @@ def _clamp(value: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, value))
 
 
-def _token_score(lexicon: Lexicon, token: Token) -> int:
-    """Dictionary score of one token, 0 when unknown."""
-    if token.kind is TokenKind.EMOTICON:
-        return lexicon.emoticons.get(token.surface, 0)
-    term = token.normalized
-    term = lexicon.slang.get(term, term)
-    return lexicon.sentiment_terms.get(term, 0)
+def _chunk_entry(lexicon: Lexicon, chunk: str) -> tuple[int, int | None] | None:
+    """(score, boost) of the word in a whitespace chunk, None when the
+    chunk is all punctuation. Peels and normalizes as ``tokenize`` does;
+    the boost is None unless the word is a booster."""
+    i, j = 0, len(chunk)
+    if not chunk[0].isalnum():  # no letter or digit is punctuation
+        while i < j and _is_punctuation(chunk[i]):
+            i += 1
+    if not chunk[-1].isalnum():
+        while j > i and _is_punctuation(chunk[j - 1]):
+            j -= 1
+    if i == j:
+        return None
+    term = _normalize_word(chunk[i:j])
+    score = lexicon.sentiment_terms.get(lexicon.slang.get(term, term), 0)
+    return score, lexicon.boosters.get(term)
 
 
 def score_text(lexicon: Lexicon, text: str) -> SentimentScore:
@@ -167,29 +185,39 @@ def score_text(lexicon: Lexicon, text: str) -> SentimentScore:
     accumulate before a single clamp back into range. A text with no
     scored tokens is (1, -1).
     """
-    stream = tokenize(text, lexicon.emoticons)
-    scoring = [t for t in stream if t.kind is not TokenKind.PUNCTUATION]
-    base = [_token_score(lexicon, token) for token in scoring]
+    pattern, memo = lexicon._compiled
+    # even parts lie between emoticons, odd parts are emoticons
+    parts = pattern.split(text) if pattern is not None else (text,)
+    scores: list[int] = []  # of the tokens that are not punctuation
+    boosters: list[tuple[int, int]] = []  # (token index, boost)
+    for k, part in enumerate(parts):
+        if k & 1:
+            scores.append(lexicon.emoticons[part])
+            continue
+        for chunk in part.split():
+            entry = memo.get(chunk, _UNSEEN)
+            if entry is _UNSEEN:
+                entry = _chunk_entry(lexicon, chunk)
+                if len(memo) >= CHUNK_MEMO_LIMIT:
+                    memo.clear()
+                memo[chunk] = entry
+            if entry is not None:
+                score, boost = entry
+                if boost is not None:
+                    boosters.append((len(scores), boost))
+                scores.append(score)
 
-    boosts = [0] * len(scoring)
-    for i, token in enumerate(scoring):
-        if token.kind is not TokenKind.WORD:
-            continue
-        boost = lexicon.boosters.get(token.normalized)
-        if boost is None:
-            continue
-        for j in range(i + 1, min(i + BOOSTER_WINDOW, len(scoring) - 1) + 1):
-            if base[j] != 0:
-                boosts[j] += boost
+    last = len(scores) - 1
+    boosts: dict[int, int] = {}
+    for i, boost in boosters:
+        for j in range(i + 1, min(i + BOOSTER_WINDOW, last) + 1):
+            if scores[j] != 0:
+                boosts[j] = boosts.get(j, 0) + boost
                 break
-
-    positive, negative = 1, -1
-    for score, boost in zip(base, boosts):
-        if score > 0:
-            positive = max(positive, _clamp(score + boost, 1, 5))
-        elif score < 0:
-            negative = min(negative, _clamp(score - boost, -5, -1))
-    return SentimentScore(positive, negative)
+    for j, boost in boosts.items():
+        score = scores[j]
+        scores[j] = _clamp(score + boost, 1, 5) if score > 0 else _clamp(score - boost, -5, -1)
+    return SentimentScore(max(1, max(scores, default=1)), min(-1, min(scores, default=-1)))
 
 
 def score_review(

@@ -10,15 +10,21 @@ without code changes.
 Word terms (sentiment, boosters, slang) are lowercased on load because
 the scorer looks tokens up by their lowercased normalized form.
 Emoticons are kept verbatim and matched on the raw surface.
+
+The scorer keeps a per-lexicon cache (``Lexicon._compiled``) that is
+built on the first ``score_text`` call, never at load, and assumes the
+dictionaries are not mutated afterwards.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -26,6 +32,27 @@ MAX_TERM_SCORE = 5
 MAX_BOOST = 2
 
 MANIFEST_ROLES = ("sentiment", "boosters", "emoticons", "slang")
+
+
+def emoticon_pattern(faces: Iterable[str]) -> re.Pattern[str] | None:
+    """One capturing alternation of ``faces``, longest first; None without faces.
+
+    At each position the first alternative that matches wins, so the
+    longest face is taken: ":((" before ":(".
+    """
+    ordered = sorted(faces, key=lambda f: (-len(f), f))
+    if not ordered:
+        return None
+    return re.compile("(" + "|".join(re.escape(face) for face in ordered) + ")")
+
+
+class Compiled(NamedTuple):
+    """The scorer's per-lexicon cache."""
+
+    emoticons: re.Pattern[str] | None
+    # whitespace chunk -> None (punctuation only) or (score, boost); the
+    # scorer bounds its size
+    chunks: dict[str, tuple[int, int | None] | None]
 
 
 class LexiconError(ValueError):
@@ -70,6 +97,10 @@ class Lexicon:
             raise LexiconError(
                 f"terms present in both sentiment and booster dictionaries: {overlap}"
             )
+
+    @cached_property
+    def _compiled(self) -> Compiled:
+        return Compiled(emoticon_pattern(self.emoticons), {})
 
 
 def _check_score(what: str, score: int) -> None:

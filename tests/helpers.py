@@ -1,4 +1,6 @@
-"""Shared builders for archive-based tests and the stub store endpoint."""
+"""Shared builders for archive-based tests, the stub store endpoint, and
+the reference scorer and emoji substitution that the fast paths in
+``reviewsent`` are checked against."""
 
 from __future__ import annotations
 
@@ -10,6 +12,9 @@ from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 from reviewsent import AppRecord, Archive, Review, SentimentScore
+from reviewsent.emojis import EmojiLexicon
+from reviewsent.engine import BOOSTER_WINDOW, TokenKind, tokenize
+from reviewsent.lexicon import Lexicon
 
 # A dual score whose combined sentiment is the given value. Note that
 # +1 and -1 are unreachable: p + n > 0 forces p >= 2, symmetrically for n.
@@ -267,3 +272,67 @@ def lookup_payload(app_id: str, n_keys: int = 44) -> dict:
         payload[f"extra_{i}"] = i
         i += 1
     return payload
+
+
+# --- reference scorer and emoji substitution ----------------------------------
+
+
+def reference_score_text(lexicon: Lexicon, text: str) -> SentimentScore:
+    """``score_text`` spelled out over the public ``tokenize`` stream."""
+    scoring = [t for t in tokenize(text, lexicon.emoticons) if t.kind is not TokenKind.PUNCTUATION]
+    base = []
+    for token in scoring:
+        if token.kind is TokenKind.EMOTICON:
+            base.append(lexicon.emoticons.get(token.surface, 0))
+        else:
+            term = lexicon.slang.get(token.normalized, token.normalized)
+            base.append(lexicon.sentiment_terms.get(term, 0))
+
+    boosts = [0] * len(scoring)
+    for i, token in enumerate(scoring):
+        if token.kind is not TokenKind.WORD:
+            continue
+        boost = lexicon.boosters.get(token.normalized)
+        if boost is None:
+            continue
+        for j in range(i + 1, min(i + BOOSTER_WINDOW, len(scoring) - 1) + 1):
+            if base[j] != 0:
+                boosts[j] += boost
+                break
+
+    positive, negative = 1, -1
+    for score, boost in zip(base, boosts):
+        if score > 0:
+            positive = max(positive, max(1, min(5, score + boost)))
+        elif score < 0:
+            negative = min(negative, max(-5, min(-1, score - boost)))
+    return SentimentScore(positive, negative)
+
+
+def reference_substitute_emojis(text: str, lexicon: EmojiLexicon) -> str:
+    """``substitute_emojis`` over one alternation of every entry, longest first."""
+    if not lexicon.entries:
+        return text
+    ordered = sorted((e.emoji for e in lexicon.entries), key=lambda s: (-len(s), s))
+    pattern = re.compile("|".join(re.escape(emoji) for emoji in ordered))
+    polarity_of = {e.emoji: e.polarity for e in lexicon.entries}
+    pieces: list[str] = []
+    tail = ""  # last character emitted so far
+    pos = 0
+    for match in pattern.finditer(text):
+        lead = text[pos : match.start()]
+        if lead:
+            pieces.append(lead)
+            tail = lead[-1]
+        if tail and not tail.isspace():
+            pieces.append(" ")
+        token = lexicon.substitutions[polarity_of[match.group()]]
+        pieces.append(token)
+        tail = token[-1] if token else tail
+        following = text[match.end() : match.end() + 1]
+        if following and not following.isspace():
+            pieces.append(" ")
+            tail = " "
+        pos = match.end()
+    pieces.append(text[pos:])
+    return "".join(pieces)

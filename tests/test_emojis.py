@@ -18,6 +18,8 @@ from reviewsent.emojis import (
 from reviewsent.engine import score_text
 from reviewsent.lexicon import Lexicon
 
+from helpers import reference_substitute_emojis
+
 
 def lexicon_from_csv(text: str) -> EmojiLexicon:
     return load_emoji_lexicon(io.StringIO(text))
@@ -104,10 +106,14 @@ def test_embedded_emoji_padded_with_spaces():
 
 def test_multi_codepoint_longest_sequence_first():
     # bare heart and variation-selector heart are distinct entries
-    lex = lexicon_from_csv("emoji,occurrences,polarity\n❤,200,1\n❤️,300,1\n👍🏽,150,1\n👍,150,-1\n")
+    lex = lexicon_from_csv(
+        "emoji,occurrences,polarity\n❤,200,1\n❤️,300,1\n👍🏽,150,1\n👍,150,-1\n"
+        "1\ufe0f\u20e3,120,-1\n"  # a keycap starts with an ASCII digit
+    )
     assert substitute_emojis("x ❤️ y", lex) == "x :) y"
     assert substitute_emojis("x 👍🏽 y", lex) == "x :) y"
     assert substitute_emojis("x 👍 y", lex) == "x :( y"
+    assert substitute_emojis("11\ufe0f\u20e31", lex) == "1 :( 1"
 
 
 def test_substitution_idempotent_on_examples():
@@ -189,3 +195,52 @@ def test_non_emoji_characters_preserved_in_order(text):
     survivors = [ch for ch in stripped if ch != "\x00"]
     # spaces may be inserted next to tokens; drop spaces on both sides
     assert [c for c in survivors if c != " "] == [c for c in kept if c != " "]
+
+
+# bases, skin tones and ZWJ sequences that are prefixes of one another
+NESTED_ROWS = [
+    ("\U0001F44D", -1), ("\U0001F44D\U0001F3FD", 1), ("\u2764", 1), ("\u2764\ufe0f", 0),
+    ("\U0001F469", 0), ("\U0001F469\u200d\U0001F4BB", 1), ("\U0001F600", 1),
+]
+KEYCAP_ROWS = [("1\ufe0f\u20e3", 1), ("#\ufe0f\u20e3", -1)]
+
+
+def emoji_lexicon(rows) -> EmojiLexicon:
+    return EmojiLexicon(entries=tuple(EmojiEntry(e, 200, p) for e, p in rows))
+
+
+SUBSTITUTION_LEXICONS = [
+    emoji_lexicon(NESTED_ROWS),
+    emoji_lexicon(NESTED_ROWS + KEYCAP_ROWS),
+    emoji_lexicon(KEYCAP_ROWS),
+]
+# lexicon characters, parts of sequences on their own, and characters that
+# fall inside the prefilter range without starting any entry
+SUBSTITUTION_ALPHABET = [
+    "\U0001F44D", "\U0001F3FD", "\u2764", "\ufe0f", "\U0001F469", "\u200d",
+    "\U0001F4BB", "\U0001F600", "1", "#", "\u20e3", "\U0001F996", "\u2615", "\U0001F44E",
+    "a", "Z", " ", "\n", "!",
+]
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(SUBSTITUTION_LEXICONS),
+    st.lists(st.sampled_from(SUBSTITUTION_ALPHABET), max_size=24).map("".join),
+)
+def test_substitution_matches_alternation_reference(lexicon, text):
+    assert substitute_emojis(text, lexicon) == reference_substitute_emojis(text, lexicon)
+
+
+@settings(max_examples=200)
+@given(st.text(max_size=30))
+def test_substitution_matches_reference_on_any_text(text):
+    for lexicon in SUBSTITUTION_LEXICONS:
+        assert substitute_emojis(text, lexicon) == reference_substitute_emojis(text, lexicon)
+
+
+def test_emoji_lexicon_prepares_scan_on_first_use():
+    lexicon = select_frequent(load_builtin_emoji_lexicon())
+    assert "_scanner" not in vars(lexicon)
+    substitute_emojis("plain text", lexicon)
+    assert "_scanner" in vars(lexicon)

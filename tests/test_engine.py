@@ -1,11 +1,13 @@
 """Tokenizer behavior and dual-polarity scoring."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reviewsent import engine
 from reviewsent.engine import (
     SentimentScore,
     TokenKind,
@@ -13,9 +15,9 @@ from reviewsent.engine import (
     score_text,
     tokenize,
 )
-from reviewsent.lexicon import Lexicon
+from reviewsent.lexicon import Lexicon, load_builtin_lexicon
 
-from helpers import make_review
+from helpers import make_review, reference_score_text
 
 WORKED_LEXICON = Lexicon(
     sentiment_terms={"hate": -4, "great": 3, "sad": -3, "good": 3, "love": 4},
@@ -258,3 +260,69 @@ def test_brute_force_oracle_equivalence():
         expected_p = max([1] + [s for s in scores if s > 0])
         expected_n = min([-1] + [s for s in scores if s < 0])
         assert score_text(lexicon, text) == SentimentScore(expected_p, expected_n)
+
+
+# --- single-pass scorer against the token-based reference ----------------------
+
+PROPERTY_LEXICON = Lexicon(
+    sentiment_terms={"hate": -4, "great": 3, "sad": -3, "good": 3, "love": 4, "zoo": 2},
+    boosters={"very": 2, "extremely": 2, "slightly": -1, "so": 1},
+    # ":(" is a prefix of ":((", ": )" holds a space, "xd" is also a word
+    emoticons={":)": 2, ":(": -2, ":((": -3, ": )": 1, "xD": 3, "<3": 4},
+    # onto a sentiment term, onto a booster, and from a booster
+    slang={"u": "you", "luv": "love", "gr8": "great", "vry": "very", "so": "good"},
+)
+PIECES = [
+    "great", "Great", "GREAT", "hate", "sad", "good", "love", "zoo", "meh", "app", "xd",
+    "luv", "gr8", "vry", "u", "very", "extremely", "slightly", "so",
+    ":)", ":(", ":((", ": )", "xD", "<3", ":",
+    "goooood", "Sooooo", "haaate", "zzzoo", "LOOOVE", "ßßß", "İİİ",
+    "¿", "«", "…", "»", "!", ",", '"', "'", "-", "...",
+    "\U0001D518", "\U0001F600", "\u0301",
+]
+SEPARATORS = ["", "", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2028", "\x1c", "\u3000"]
+PIECED_TEXT = st.lists(
+    st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARATORS)), max_size=16
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+
+
+@settings(max_examples=500)
+@given(st.one_of(PIECED_TEXT, st.text(max_size=40)))
+def test_score_text_matches_token_reference(text):
+    assert score_text(PROPERTY_LEXICON, text) == reference_score_text(PROPERTY_LEXICON, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "very very very sad",  # third booster sits outside the window
+        "very meh meh sad",
+        "very, « so » sad",
+        "so so so",  # boosters that also score
+        "vry sad",  # slang onto a booster does not boost
+        "very :( extremely :((",
+        "goodxD:((great",
+        "« very »\u00a0…\u2028sad\x1c!!",
+        "¿Loooove?",
+    ],
+)
+def test_score_text_matches_reference_on_edge_cases(text):
+    assert score_text(PROPERTY_LEXICON, text) == reference_score_text(PROPERTY_LEXICON, text)
+
+
+def test_chunk_memo_stays_within_limit(monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_MEMO_LIMIT", 8)
+    lexicon = dataclasses.replace(PROPERTY_LEXICON)  # a fresh, empty memo
+    rng = random.Random(4401)
+    for _ in range(200):
+        words = [rng.choice(PIECES) + str(rng.randrange(50)) for _ in range(rng.randint(0, 12))]
+        text = " ".join(words + [rng.choice(PIECES)])
+        assert score_text(lexicon, text) == reference_score_text(lexicon, text)
+        assert len(lexicon._compiled.chunks) <= 8
+
+
+def test_lexicon_compiles_on_first_score_not_on_load():
+    lexicon = load_builtin_lexicon()
+    assert "_compiled" not in vars(lexicon)
+    score_text(lexicon, "great :)")
+    assert "_compiled" in vars(lexicon)
