@@ -104,10 +104,16 @@ class SentimentScore:
             raise ValueError(f"negative strength {self.negative} outside [-5,-1]")
 
 
+def _two_letters(match: re.Match) -> str:
+    # a callable, because Python 3.11 expands a template such as r"\1\1"
+    # in Python on every match
+    return match[1] * 2
+
+
 def _normalize_word(surface: str) -> str:
     word = surface.lower()
     if _REPEATED_LETTERS.search(word):
-        word = _REPEATED_LETTERS.sub(r"\1\1", word)
+        word = _REPEATED_LETTERS.sub(_two_letters, word)
     return word
 
 

@@ -314,15 +314,19 @@ def save_archive(archive: Archive, path: str | Path) -> None:
     path = Path(path)
     with archive_lock(path):
         tmp = path.with_suffix(path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8", newline="\n") as out:
-            for app_id in sorted(archive.apps):
-                _write_line(out, _app_record_to_json(archive.apps[app_id]))
-            for key in sorted(archive.reviews):
-                _write_line(out, _review_to_json(archive.reviews[key]))
-            for key in sorted(archive.releases):
-                _write_line(out, _release_to_json(archive.releases[key]))
-            for key in sorted(archive.scores):
-                _write_line(out, _score_to_json(key, archive.scores[key]))
+        try:
+            with tmp.open("w", encoding="utf-8", newline="\n") as out:
+                for app_id in sorted(archive.apps):
+                    _write_line(out, _app_record_to_json(archive.apps[app_id]))
+                for key in sorted(archive.reviews):
+                    _write_line(out, _review_to_json(archive.reviews[key]))
+                for key in sorted(archive.releases):
+                    _write_line(out, _release_to_json(archive.releases[key]))
+                for key in sorted(archive.scores):
+                    _write_line(out, _score_to_json(key, archive.scores[key]))
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         tmp.replace(path)
 
 

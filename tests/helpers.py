@@ -197,6 +197,8 @@ class Stub:
         self.review_pages = {}  # app_id -> list of pages (lists of review dicts)
         self.fail_remaining = {}  # path -> number of 500s to serve first
         self.fail_pages = {}  # path -> set of review pages that always 500
+        self.throttle_remaining = {}  # path -> number of 429s to serve first
+        self.retry_after = "0"  # Retry-After header sent with each 429
         self.requests = []
         self.base_url = ""
 
@@ -207,9 +209,11 @@ class Stub:
             def log_message(self, *args):
                 pass
 
-            def _send(self, code, payload):
+            def _send(self, code, payload, headers=()):
                 body = json.dumps(payload).encode("utf-8")
                 self.send_response(code)
+                for name, value in headers:
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
@@ -218,6 +222,11 @@ class Stub:
             def do_GET(self):
                 parsed = urlparse(self.path)
                 stub.requests.append(self.path)
+                if stub.throttle_remaining.get(parsed.path, 0) > 0:
+                    stub.throttle_remaining[parsed.path] -= 1
+                    headers = [("Retry-After", stub.retry_after)]
+                    self._send(429, {"error": "slow down"}, headers)
+                    return
                 if stub.fail_remaining.get(parsed.path, 0) > 0:
                     stub.fail_remaining[parsed.path] -= 1
                     self._send(500, {"error": "flaky"})

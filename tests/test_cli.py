@@ -1,6 +1,10 @@
 """Command-line pipeline: wiring, determinism, and failure modes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,35 @@ def test_ingest_releases(tmp_path, fixture_archive, capsys):
     assert rc == 0
     assert "rejected line 3" in captured.err
     assert load_archive(fixture_archive).releases[("app0", "2.0")].notes == "redesign"
+
+
+NETWORK_MODULES = ("requests", "urllib3", "http.client", "ssl")
+
+IMPORT_BUDGET_SCRIPT = """
+import sys
+import reviewsent.cli as cli
+rc = cli.main(["summarize", "--archive", sys.argv[1], "--out", sys.argv[2]])
+print(rc, *sorted(m for m in sys.argv[3:] if m in sys.modules))
+"""
+
+
+def test_offline_command_loads_no_network_modules(tmp_path, fixture_archive):
+    # ``import requests`` costs every CLI process time and memory; only
+    # ``ingest --app-id`` may pay for it
+    assert run(["score", "--archive", fixture_archive]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "summary.csv"
+    argv = [str(fixture_archive), str(out), *NETWORK_MODULES]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["0"]
+    assert out.read_text(encoding="utf-8").startswith("category,")
 
 
 def test_ingest_from_stub_store_with_env_overrides(

@@ -1,9 +1,12 @@
 """Store client behavior against a local stub HTTP server."""
 
 import datetime as dt
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from reviewsent import client as client_module
 from reviewsent.client import ClientConfig, ClientError, StoreClient
 
 from helpers import feed_item, lookup_payload
@@ -67,6 +70,72 @@ def test_persistent_500_gives_up(stub_server):
     with StoreClient(fast_config(stub_server)) as client:
         with pytest.raises(ClientError):
             client.fetch_app_details(["a1"])
+
+
+def test_rate_limited_429_is_retried(stub_server):
+    stub_server.app_payloads["a1"] = lookup_payload("a1")
+    stub_server.review_pages["a1"] = [[feed_item(i) for i in range(5)]]
+    stub_server.throttle_remaining["/lookup"] = 2
+    stub_server.throttle_remaining["/apps/a1/reviews"] = 2
+    with StoreClient(fast_config(stub_server)) as client:
+        details = client.fetch_app_details(["a1"])
+        feed = client.fetch_reviews("a1")
+    assert [r.app_id for r in details.records] == ["a1"]
+    assert len(feed.reviews) == 5
+    assert feed.error is None
+    assert len(stub_server.requests) == 6
+
+
+def test_persistent_429_gives_up(stub_server):
+    stub_server.app_payloads["a1"] = lookup_payload("a1")
+    stub_server.review_pages["a1"] = [[feed_item(i) for i in range(5)]]
+    stub_server.throttle_remaining["/lookup"] = 3
+    stub_server.throttle_remaining["/apps/a1/reviews"] = 3
+    with StoreClient(fast_config(stub_server)) as client:
+        with pytest.raises(ClientError, match=r"HTTP 429"):
+            client.fetch_app_details(["a1"])
+        feed = client.fetch_reviews("a1")
+    assert feed.reviews == []
+    assert "giving up after retries (HTTP 429)" in feed.error
+
+
+@pytest.mark.parametrize(
+    "retry_after, backoff, expected",
+    [("2", 0.01, [2.0, 2.0]), ("0", 0.5, [0.5, 1.0]), ("soon", 0.5, [0.5, 1.0])],
+)
+def test_retry_waits_for_retry_after_or_longer_backoff(
+    stub_server, monkeypatch, retry_after, backoff, expected
+):
+    sleeps = []
+    fake_time = SimpleNamespace(monotonic=time.monotonic, sleep=sleeps.append)
+    monkeypatch.setattr(client_module, "time", fake_time)
+    stub_server.app_payloads["a1"] = lookup_payload("a1")
+    stub_server.throttle_remaining["/lookup"] = 2
+    stub_server.retry_after = retry_after
+    config = ClientConfig(
+        base_url=stub_server.base_url, rate_limit=1e9, max_retries=2, backoff=backoff
+    )
+    with StoreClient(config) as client:
+        client.fetch_app_details(["a1"])
+    assert [s for s in sleeps if s >= 0.01] == expected
+
+
+@pytest.mark.parametrize(
+    "value, seconds",
+    [
+        (None, 0.0),
+        ("", 0.0),
+        ("0", 0.0),
+        ("7", 7.0),
+        (" 120 ", 120.0),
+        ("1.5", 0.0),
+        ("-3", 0.0),
+        ("\u0663", 0.0),  # a non-ASCII digit
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+    ],
+)
+def test_retry_after_seconds_reads_delta_seconds_only(value, seconds):
+    assert client_module._retry_after_seconds(value) == seconds
 
 
 # --- review feed -----------------------------------------------------------------

@@ -164,6 +164,17 @@ def test_emoticons_scored_by_surface():
     assert score_text(WORKED_LEXICON, "ok :(") == SentimentScore(1, -2)
 
 
+LETTER_RUNS = st.lists(st.tuples(st.characters(), st.integers(1, 5))).map(
+    lambda parts: "".join(ch * n for ch, n in parts)
+)
+
+
+@given(st.one_of(st.text(), LETTER_RUNS))
+def test_letter_run_collapse_matches_template_substitution(word):
+    expected = engine._REPEATED_LETTERS.sub(r"\1\1", word.lower())
+    assert engine._normalize_word(word) == expected
+
+
 def test_elongated_word_matches_after_collapse():
     # "goooood" normalizes to "good"
     assert score_text(WORKED_LEXICON, "goooood") == SentimentScore(3, -1)

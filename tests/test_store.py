@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from reviewsent import store
 from reviewsent.combine import combine
 from reviewsent.engine import SentimentScore
 from reviewsent.store import (
@@ -193,6 +194,34 @@ def test_archive_lock_blocks_second_writer(tmp_path):
         with pytest.raises(ArchiveLockedError):
             save_archive(Archive(), path)
     save_archive(Archive(), path)  # lock released
+
+
+def test_failed_save_keeps_old_archive_and_leaves_no_tmp(tmp_path, monkeypatch):
+    path = tmp_path / "archive.jsonl"
+    save_archive(random_archive(random.Random(3), n_reviews=20), path)
+    before = path.read_bytes()
+
+    write_line = store._write_line
+    calls = 0
+
+    def failing_write_line(out, obj):
+        nonlocal calls
+        calls += 1
+        if calls == 10:  # partway through the review lines
+            raise OSError("disk full")
+        write_line(out, obj)
+
+    monkeypatch.setattr(store, "_write_line", failing_write_line)
+    replacement = random_archive(random.Random(4), n_reviews=20)
+    with pytest.raises(OSError, match="disk full"):
+        save_archive(replacement, path)
+    assert calls == 10
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl"]
+
+    monkeypatch.setattr(store, "_write_line", write_line)
+    save_archive(replacement, path)  # lock released
+    assert load_archive(path) == replacement
 
 
 # --- release import ------------------------------------------------------------
