@@ -13,7 +13,6 @@ counted in the polarity shares.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from typing import IO, Callable, Iterable, Mapping, Sequence
 # benchmarks/traced.py finds and wraps this binding
 from .combine import Polarity, combine, polarity_class  # noqa: F401
 from .store import Archive, ScoredRow
+from .tables import fmt, read_rows, writer
 
 STRONG_NEGATIVE_CUTOFF = -4  # combined <= -4 counts as strongly negative
 OVERALL_CATEGORY = "ALL"
@@ -299,20 +299,9 @@ def parse_topic_rows(stream: IO[str]) -> tuple[list[TopicRow], list[tuple[int, s
     Rows with an unknown topic literal are rejected and reported with
     their line numbers.
     """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty labeled file, expected a header row") from None
-    if [column.strip().lower() for column in header] != TOPIC_HEADER:
-        raise ValueError(
-            f"expected header 'id,topic,title,body', got {','.join(header)!r}"
-        )
     rows: list[TopicRow] = []
     rejects: list[tuple[int, str]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for lineno, row in read_rows(stream, TOPIC_HEADER, "labeled file", ValueError):
         if len(row) != 4:
             rejects.append((lineno, f"expected 4 columns, got {len(row)}"))
             continue
@@ -329,18 +318,10 @@ def parse_topic_rows(stream: IO[str]) -> tuple[list[TopicRow], list[tuple[int, s
 # --- CSV report writers ----------------------------------------------------
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
-def _writer(stream: IO[str]):
-    return csv.writer(stream, lineterminator="\n")
-
-
 def write_category_report(
     summaries: Iterable[CategorySummary], stream: IO[str]
 ) -> None:
-    out = _writer(stream)
+    out = writer(stream)
     out.writerow(
         [
             "category",
@@ -363,13 +344,13 @@ def write_category_report(
                 s.n_free,
                 s.n_paid,
                 s.n_scored,
-                _fmt(s.mean),
-                _fmt(s.sd),
-                _fmt(s.median),
-                _fmt(s.share_positive),
-                _fmt(s.share_neutral),
-                _fmt(s.share_negative),
-                _fmt(s.share_undefined),
+                fmt(s.mean),
+                fmt(s.sd),
+                fmt(s.median),
+                fmt(s.share_positive),
+                fmt(s.share_neutral),
+                fmt(s.share_negative),
+                fmt(s.share_undefined),
             ]
         )
 
@@ -377,17 +358,17 @@ def write_category_report(
 def write_correlation_report(
     result: CorrelationResult, target: str, stream: IO[str]
 ) -> None:
-    out = _writer(stream)
+    out = writer(stream)
     out.writerow(["target", "n", "pearson", "spearman"])
-    out.writerow([target, result.n, _fmt(result.pearson), _fmt(result.spearman)])
+    out.writerow([target, result.n, fmt(result.pearson), fmt(result.spearman)])
 
 
 def write_dispersion_report(
     stats: Mapping[Topic, DispersionStats], stream: IO[str]
 ) -> None:
-    out = _writer(stream)
+    out = writer(stream)
     out.writerow(["topic", "n", "range", "iqr", "sd"])
     for topic in Topic:
         if topic in stats:
             s = stats[topic]
-            out.writerow([topic.value, s.n, _fmt(s.value_range), _fmt(s.iqr), _fmt(s.sd)])
+            out.writerow([topic.value, s.n, fmt(s.value_range), fmt(s.iqr), fmt(s.sd)])

@@ -150,6 +150,8 @@ class StoreClient:
         if payload.get("resultCount", len(results)) == 0 or not results:
             raise ClientError(f"app {app_id} not found")
         detail = results[0]
+        if not isinstance(detail, dict):
+            raise ClientError(f"app {app_id}: expected a JSON object")
         return AppRecord(
             app_id=str(detail.get("trackId", app_id)),
             name=str(detail.get("trackName", "")),

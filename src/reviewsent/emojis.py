@@ -9,21 +9,23 @@ matched longest-first so no partial replacement can corrupt the text.
 
 from __future__ import annotations
 
-import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Mapping
 
 from .lexicon import LexiconError
+from .tables import read_rows
 
 POLARITIES = (-1, 0, 1)
 
 # ":|" must stay absent from the emoticon dictionary so neutral emojis
 # score (1, -1)
-DEFAULT_SUBSTITUTIONS: Mapping[int, str] = {1: ":)", -1: ":(", 0: ":|"}
+SUBSTITUTIONS: Mapping[int, str] = {1: ":)", -1: ":(", 0: ":|"}
 
 DEFAULT_MIN_OCCURRENCES = 100
+
+EMOJI_HEADER = ["emoji", "occurrences", "polarity"]
 
 
 class EmojiLexiconError(LexiconError):
@@ -50,9 +52,6 @@ class EmojiEntry:
 @dataclass(frozen=True)
 class EmojiLexicon:
     entries: tuple[EmojiEntry, ...] = ()
-    substitutions: Mapping[int, str] = field(
-        default_factory=lambda: dict(DEFAULT_SUBSTITUTIONS)
-    )
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -60,9 +59,6 @@ class EmojiLexicon:
             if entry.emoji in seen:
                 raise EmojiLexiconError(f"duplicate emoji {entry.emoji!r}")
             seen.add(entry.emoji)
-        missing = [p for p in POLARITIES if p not in self.substitutions]
-        if missing:
-            raise EmojiLexiconError(f"substitutions missing polarities {missing}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -91,25 +87,11 @@ class EmojiLexicon:
         }
 
 
-def load_emoji_lexicon(
-    stream: IO[str],
-    substitutions: Mapping[int, str] | None = None,
-) -> EmojiLexicon:
+def load_emoji_lexicon(stream: IO[str]) -> EmojiLexicon:
     """Read an emoji lexicon from CSV with header ``emoji,occurrences,polarity``."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmojiLexiconError("empty stream, expected a header row") from None
-    if [column.strip().lower() for column in header] != ["emoji", "occurrences", "polarity"]:
-        raise EmojiLexiconError(
-            f"expected header 'emoji,occurrences,polarity', got {','.join(header)!r}"
-        )
     entries: list[EmojiEntry] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for lineno, row in read_rows(stream, EMOJI_HEADER, "stream", EmojiLexiconError):
         if len(row) != 3:
             raise EmojiLexiconError(f"expected 3 columns, got {len(row)}", line=lineno)
         emoji = row[0]
@@ -127,10 +109,7 @@ def load_emoji_lexicon(
             entries.append(EmojiEntry(emoji, occurrences, polarity))
         except EmojiLexiconError as exc:
             raise EmojiLexiconError(str(exc), line=lineno) from None
-    return EmojiLexicon(
-        entries=tuple(entries),
-        substitutions=dict(substitutions or DEFAULT_SUBSTITUTIONS),
-    )
+    return EmojiLexicon(entries=tuple(entries))
 
 
 def select_frequent(
@@ -140,7 +119,7 @@ def select_frequent(
     if min_occurrences < 0:
         raise ValueError(f"min_occurrences must be >= 0, got {min_occurrences}")
     kept = tuple(e for e in lexicon.entries if e.occurrences > min_occurrences)
-    return EmojiLexicon(entries=kept, substitutions=dict(lexicon.substitutions))
+    return EmojiLexicon(entries=kept)
 
 
 def substitute_emojis(text: str, lexicon: EmojiLexicon) -> str:
@@ -179,9 +158,9 @@ def substitute_emojis(text: str, lexicon: EmojiLexicon) -> str:
             tail = lead[-1]
         if tail and not tail.isspace():
             pieces.append(" ")
-        token = lexicon.substitutions[polarity]
+        token = SUBSTITUTIONS[polarity]
         pieces.append(token)
-        tail = token[-1] if token else tail
+        tail = token[-1]
         following = text[end : end + 1]
         if following and not following.isspace():
             pieces.append(" ")

@@ -9,7 +9,6 @@ one process mutates it at a time.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import logging
@@ -21,6 +20,7 @@ from typing import IO, Mapping, NamedTuple
 
 from .combine import combine, format_combined, parse_combined
 from .engine import SentimentScore
+from .tables import read_rows
 
 log = logging.getLogger(__name__)
 
@@ -350,6 +350,8 @@ def load_archive(path: str | Path) -> Archive:
                 continue
             try:
                 obj = json.loads(raw)
+                if not isinstance(obj, dict):
+                    raise ArchiveError("expected a JSON object")
                 kind = obj.get("kind")
                 if kind == "app":
                     archive.add_app(_app_record_from_json(obj))
@@ -393,22 +395,11 @@ def import_releases(stream: IO[str]) -> tuple[list[Release], list[tuple[int, str
     per-app date regressions (a row dated before an earlier accepted row
     for the same app) are rejected.
     """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ArchiveError("empty release file, expected a header row") from None
-    if [column.strip().lower() for column in header] != RELEASE_HEADER:
-        raise ArchiveError(
-            f"expected header 'app_id,version,date,notes', got {','.join(header)!r}"
-        )
     releases: list[Release] = []
     rejects: list[tuple[int, str]] = []
     seen: set[tuple[str, str]] = set()
     latest: dict[str, dt.date] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for lineno, row in read_rows(stream, RELEASE_HEADER, "release file", ArchiveError):
         if len(row) != 4:
             rejects.append((lineno, f"expected 4 columns, got {len(row)}"))
             continue

@@ -14,7 +14,6 @@ skipped, never interpolated, when classifying.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import statistics
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .analytics import sample_sd
 # benchmarks/traced.py finds and wraps this binding
 from .combine import combine  # noqa: F401
 from .store import Archive
+from .tables import fmt, writer
 
 MIN_PATTERN_POINTS = 8
 DEFAULT_QUALIFYING_REVIEWS = 1000
@@ -314,15 +314,15 @@ def write_timeline(series: WeeklySeries, stream: IO[str]) -> None:
     releases_by_week: dict[int, list[str]] = {}
     for week, version in series.releases:
         releases_by_week.setdefault(week, []).append(version)
-    out = csv.writer(stream, lineterminator="\n")
+    out = writer(stream)
     out.writerow(["week", "mean", "n", "mean_length", "releases"])
     for point in series.points:
         out.writerow(
             [
                 point.week_index,
-                "" if point.mean_combined is None else f"{point.mean_combined:.6f}",
+                fmt(point.mean_combined),
                 point.n_reviews,
-                "" if point.mean_length is None else f"{point.mean_length:.6f}",
+                fmt(point.mean_length),
                 ";".join(releases_by_week.get(point.week_index, [])),
             ]
         )
@@ -332,7 +332,7 @@ def write_pattern_report(
     rows: Iterable[tuple[str, set[PatternLabel]]], stream: IO[str]
 ) -> None:
     """Pattern report: ``app_id,labels`` with labels semicolon-joined."""
-    out = csv.writer(stream, lineterminator="\n")
+    out = writer(stream)
     out.writerow(["app_id", "labels"])
     for app_id, labels in rows:
         out.writerow([app_id, ";".join(sorted(label.value for label in labels))])

@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 from reviewsent import AppRecord, Archive, Review, SentimentScore
-from reviewsent.emojis import EmojiLexicon
+from reviewsent.emojis import SUBSTITUTIONS, EmojiLexicon
 from reviewsent.engine import BOOSTER_WINDOW, TokenKind, tokenize
 from reviewsent.lexicon import Lexicon
 
@@ -335,7 +335,7 @@ def reference_substitute_emojis(text: str, lexicon: EmojiLexicon) -> str:
             tail = lead[-1]
         if tail and not tail.isspace():
             pieces.append(" ")
-        token = lexicon.substitutions[polarity_of[match.group()]]
+        token = SUBSTITUTIONS[polarity_of[match.group()]]
         pieces.append(token)
         tail = token[-1] if token else tail
         following = text[match.end() : match.end() + 1]

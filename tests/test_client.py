@@ -50,6 +50,16 @@ def test_app_details_unknown_id_is_per_id_error(stub_server):
     assert "not found" in result.errors["ghost"]
 
 
+def test_app_details_non_object_result_is_per_id_error(stub_server):
+    stub_server.app_payloads["good"] = lookup_payload("good")
+    stub_server.app_payloads["odd"] = "not an object"
+    with StoreClient(fast_config(stub_server)) as client:
+        result = client.fetch_app_details(["good", "odd"])
+    assert [r.app_id for r in result.records] == ["good"]
+    assert "odd" in result.errors
+    assert "expected a JSON object" in result.errors["odd"]
+
+
 def test_app_details_all_failed_raises(stub_server):
     with StoreClient(fast_config(stub_server)) as client:
         with pytest.raises(ClientError, match="all 2 ids failed"):

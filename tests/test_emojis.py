@@ -155,11 +155,6 @@ def test_entry_validation():
         EmojiEntry("😀", 10, 3)
 
 
-def test_substitutions_must_cover_all_polarities():
-    with pytest.raises(EmojiLexiconError):
-        EmojiLexicon(entries=(), substitutions={1: ":)"})
-
-
 def test_builtin_lexicon_loads():
     lex = load_builtin_emoji_lexicon()
     assert len(lex) > 0

@@ -154,10 +154,12 @@ def test_corrupt_lines_skipped_with_report(tmp_path):
     lines.insert(1, "{not json")
     lines.append(json.dumps({"kind": "mystery"}))
     lines.append(json.dumps({"kind": "review", "review_id": "bad"}))  # missing fields
+    lines.extend(["[1, 2]", "null"])  # valid JSON, but not objects
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     loaded = load_archive(path)
-    assert len(loaded.load_skips) == 3
-    assert [lineno for lineno, _ in loaded.load_skips] == [2, 4, 5]
+    assert len(loaded.load_skips) == 5
+    assert [lineno for lineno, _ in loaded.load_skips] == [2, 4, 5, 6, 7]
+    assert loaded.load_skips[3:] == [(6, "expected a JSON object"), (7, "expected a JSON object")]
     assert loaded.apps == archive.apps
     assert loaded.reviews == archive.reviews
 
