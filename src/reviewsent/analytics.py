@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
@@ -321,36 +321,17 @@ def parse_topic_rows(stream: IO[str]) -> tuple[list[TopicRow], list[tuple[int, s
 def write_category_report(
     summaries: Iterable[CategorySummary], stream: IO[str]
 ) -> None:
+    """One column per ``CategorySummary`` field, in declaration order."""
+    columns = fields(CategorySummary)
     out = writer(stream)
-    out.writerow(
-        [
-            "category",
-            "n_free",
-            "n_paid",
-            "n_scored",
-            "mean",
-            "sd",
-            "median",
-            "share_positive",
-            "share_neutral",
-            "share_negative",
-            "share_undefined",
-        ]
-    )
+    out.writerow([column.name for column in columns])
     for s in summaries:
         out.writerow(
             [
-                s.category,
-                s.n_free,
-                s.n_paid,
-                s.n_scored,
-                fmt(s.mean),
-                fmt(s.sd),
-                fmt(s.median),
-                fmt(s.share_positive),
-                fmt(s.share_neutral),
-                fmt(s.share_negative),
-                fmt(s.share_undefined),
+                fmt(getattr(s, column.name))
+                if column.type.startswith("float")
+                else getattr(s, column.name)
+                for column in columns
             ]
         )
 

@@ -15,6 +15,7 @@ import datetime as dt
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import IO
 
@@ -78,7 +79,7 @@ def _load_lexicon(args) -> Lexicon:
 
 
 def _load_emoji_lexicon(args) -> emojis.EmojiLexicon | None:
-    if getattr(args, "no_emoji", False):
+    if args.no_emoji:
         return None
     if args.emoji_lexicon:
         with _require_file(args.emoji_lexicon, "emoji lexicon").open(
@@ -236,12 +237,7 @@ def cmd_timeline(args) -> int:
 def cmd_patterns(args) -> int:
     archive = _load_archive(args)
     config = temporal.PatternConfig(
-        jump_threshold=args.jump_threshold,
-        window=args.pattern_window,
-        slope_threshold=args.slope_threshold,
-        fit_threshold=args.fit_threshold,
-        low_variance=args.low_variance,
-        min_weekly_reviews=args.min_weekly_reviews,
+        **{f.name: getattr(args, f.name) for f in fields(temporal.PatternConfig)}
     )
     app_ids = temporal.qualifying_apps(
         archive, args.window_start, args.window_end, args.min_reviews
@@ -373,14 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=temporal.DEFAULT_QUALIFYING_REVIEWS,
         help="apps need strictly more reviews in the window (default %(default)s)",
     )
-    p.add_argument("--jump-threshold", type=float, default=2.0)
-    p.add_argument(
-        "--window", dest="pattern_window", type=int, default=3, help="shift window, weeks"
-    )
-    p.add_argument("--slope-threshold", type=float, default=0.03)
-    p.add_argument("--fit-threshold", type=float, default=0.5)
-    p.add_argument("--low-variance", type=float, default=0.5)
-    p.add_argument("--min-weekly-reviews", type=int, default=1)
+    for f in fields(temporal.PatternConfig):
+        p.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            type=type(f.default),
+            default=f.default,
+            help="PatternConfig.%(dest)s (default %(default)s)",
+        )
     _add_out_flag(p)
     p.set_defaults(func=cmd_patterns)
 

@@ -186,6 +186,10 @@ class StoreClient:
                 log.warning("review feed for %s aborted at page %d: %s", app_id, page, exc)
                 return result
             items = payload.get("reviews") or []
+            if not isinstance(items, list):
+                result.error = f"page {page}: expected a list of reviews"
+                log.warning("app %s: %s", app_id, result.error)
+                return result
             for item in items:
                 try:
                     review = _review_from_feed(app_id, item)

@@ -14,7 +14,8 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple
 
@@ -113,29 +114,20 @@ class ScoredRow(NamedTuple):
     text_length: int
 
 
+@dataclass(repr=False)
 class Archive:
     """In-memory collection of apps, reviews, releases, and scores.
 
     Keys are natural identities (app_id; app_id+review_id; app_id+version),
-    so re-adding the same entity is idempotent.
+    so re-adding the same entity is idempotent. Equality ignores
+    ``load_skips``.
     """
 
-    def __init__(self):
-        self.apps: dict[str, AppRecord] = {}
-        self.reviews: dict[tuple[str, str], Review] = {}
-        self.releases: dict[tuple[str, str], Release] = {}
-        self.scores: dict[tuple[str, str], SentimentScore] = {}
-        self.load_skips: list[tuple[int, str]] = []
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Archive):
-            return NotImplemented
-        return (
-            self.apps == other.apps
-            and self.reviews == other.reviews
-            and self.releases == other.releases
-            and self.scores == other.scores
-        )
+    apps: dict[str, AppRecord] = field(default_factory=dict)
+    reviews: dict[tuple[str, str], Review] = field(default_factory=dict)
+    releases: dict[tuple[str, str], Release] = field(default_factory=dict)
+    scores: dict[tuple[str, str], SentimentScore] = field(default_factory=dict)
+    load_skips: list[tuple[int, str]] = field(default_factory=list, compare=False)
 
     def add_app(self, app: AppRecord) -> None:
         self.apps[app.app_id] = app
@@ -204,54 +196,16 @@ class Archive:
 # --- persistence -----------------------------------------------------------
 
 
-def _app_record_to_json(app: AppRecord) -> dict:
-    return {
-        "kind": "app",
-        "app_id": app.app_id,
-        "name": app.name,
-        "primary_category": app.primary_category,
-        "price": app.price,
-        "is_free": app.is_free,
-        "current_version": app.current_version,
-        "raw_details": dict(app.raw_details),
-    }
+@cache  # fields() on every line made encoding 12k review lines ~15% slower
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
-def _review_to_json(review: Review) -> dict:
-    return {
-        "kind": "review",
-        "review_id": review.review_id,
-        "app_id": review.app_id,
-        "author": review.author,
-        "title": review.title,
-        "body": review.body,
-        "rating": review.rating,
-        "date": review.date.isoformat(),
-        "helpful_votes": review.helpful_votes,
-        "app_version": review.app_version,
-        "raw": dict(review.raw),
-    }
-
-
-def _release_to_json(release: Release) -> dict:
-    return {
-        "kind": "release",
-        "app_id": release.app_id,
-        "version": release.version,
-        "date": release.date.isoformat(),
-        "notes": release.notes,
-    }
-
-
-def _score_to_json(key: tuple[str, str], score: SentimentScore) -> dict:
-    return {
-        "kind": "score",
-        "app_id": key[0],
-        "review_id": key[1],
-        "positive": score.positive,
-        "negative": score.negative,
-        "combined": format_combined(combine(score)),
-    }
+def _entity_to_json(kind: str, entity, **extra) -> dict:
+    """An archive line: ``kind``, every dataclass field of ``entity``, ``extra``."""
+    line = {name: getattr(entity, name) for name in _field_names(type(entity))}
+    line.update(kind=kind, **extra)
+    return line
 
 
 def _app_record_from_json(obj: dict) -> AppRecord:
@@ -317,21 +271,38 @@ def save_archive(archive: Archive, path: str | Path) -> None:
         try:
             with tmp.open("w", encoding="utf-8", newline="\n") as out:
                 for app_id in sorted(archive.apps):
-                    _write_line(out, _app_record_to_json(archive.apps[app_id]))
+                    app = archive.apps[app_id]
+                    _write_line(out, _entity_to_json("app", app, is_free=app.is_free))
                 for key in sorted(archive.reviews):
-                    _write_line(out, _review_to_json(archive.reviews[key]))
+                    _write_line(out, _entity_to_json("review", archive.reviews[key]))
                 for key in sorted(archive.releases):
-                    _write_line(out, _release_to_json(archive.releases[key]))
-                for key in sorted(archive.scores):
-                    _write_line(out, _score_to_json(key, archive.scores[key]))
+                    _write_line(out, _entity_to_json("release", archive.releases[key]))
+                for (app_id, review_id), score in sorted(archive.scores.items()):
+                    combined = format_combined(combine(score))
+                    line = _entity_to_json(
+                        "score", score, app_id=app_id, review_id=review_id, combined=combined
+                    )
+                    _write_line(out, line)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
         tmp.replace(path)
 
 
+def _json_value(value: object) -> object:
+    """Dates as ISO strings and other mappings as dicts; JSON has neither."""
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if isinstance(value, Mapping):
+        return dict(value)
+    raise TypeError(f"cannot archive {type(value).__name__}")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=_json_value)
+
+
 def _write_line(out: IO[str], obj: dict) -> None:
-    out.write(json.dumps(obj, sort_keys=True, ensure_ascii=False))
+    out.write(_ENCODER.encode(obj))
     out.write("\n")
 
 

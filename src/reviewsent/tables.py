@@ -17,7 +17,7 @@ def read_rows(
     what: str,
     error: Callable[[str], Exception],
 ) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, row)`` for each nonblank row after ``header``.
+    """Yield ``(first line number, row)`` for each nonblank row after ``header``.
 
     ``error`` builds the exception for an empty ``what`` or a wrong header.
     """
@@ -28,9 +28,12 @@ def read_rows(
         raise error(f"empty {what}, expected a header row") from None
     if [column.strip().lower() for column in found] != header:
         raise error(f"expected header '{','.join(header)}', got {','.join(found)!r}")
-    for lineno, row in enumerate(reader, start=2):
+    # a quoted field may span lines: a row starts on the line after the last one read
+    lineno = reader.line_num + 1
+    for row in reader:
         if row and (len(row) > 1 or row[0].strip()):
             yield lineno, row
+        lineno = reader.line_num + 1
 
 
 def writer(stream: IO[str]):

@@ -424,10 +424,12 @@ def test_category_report_six_decimals():
     archive = archive_with_combined([3, -3])
     out = io.StringIO()
     write_category_report(summarize_by_category(archive), out)
-    lines = out.getvalue().splitlines()
-    assert lines[0].startswith("category,")
-    assert "0.000000" in lines[1]  # mean of [3,-3]
-    assert "0.500000" in lines[1]  # shares
+    # the columns are the CategorySummary fields: pinned, so a rename shows here
+    assert out.getvalue().splitlines() == [
+        "category,n_free,n_paid,n_scored,mean,sd,median,"
+        "share_positive,share_neutral,share_negative,share_undefined",
+        "Games,2,0,2,0.000000,4.242641,0.000000,0.500000,0.000000,0.500000,0.000000",
+    ]
 
 
 def test_polarity_shares_align_with_polarity_class():

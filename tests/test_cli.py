@@ -300,6 +300,35 @@ def test_patterns_command(tmp_path, fixture_archive):
         assert labels  # never empty
 
 
+def _pattern_labels(tmp_path, archive, *flags) -> dict[str, str]:
+    report = tmp_path / "patterns.csv"
+    window = ["--from", "2016-01-04", "--to", "2016-12-18", "--min-reviews", "5"]
+    rc = run(["patterns", "--archive", archive, *window, "--out", report, *flags])
+    assert rc == 0
+    header, *rows = report.read_text(encoding="utf-8").splitlines()
+    assert header == "app_id,labels"
+    return dict(row.split(",") for row in rows)
+
+
+def test_pattern_flags_reach_pattern_config(tmp_path, fixture_archive, capsys):
+    assert run(["score", "--archive", fixture_archive]) == 0
+    capsys.readouterr()
+    window = ["--from", "2016-01-04", "--to", "2016-12-18"]
+    rc = run(["patterns", "--archive", fixture_archive, *window, "--min-weekly-reviews", "0"])
+    assert rc == 1
+    assert "min_weekly_reviews must be >= 1" in capsys.readouterr().err
+    rc = run(["patterns", "--archive", fixture_archive, *window, "--window", "2.5"])
+    assert rc == 2  # argparse usage error: the field is an int
+    assert "--window: invalid int value: '2.5'" in capsys.readouterr().err
+
+    default = _pattern_labels(tmp_path, fixture_archive)
+    high = _pattern_labels(tmp_path, fixture_archive, "--jump-threshold", "10")
+    assert default.keys() == high.keys() == {"app0", "app1", "app2"}
+    assert any("Jump" in labels or "Drop" in labels for labels in default.values())
+    # no windowed shift in 40 reviews reaches 10 combined units
+    assert set(high.values()) == {"InconsistentEmotion"}
+
+
 def test_reports_byte_identical_across_runs(tmp_path, fixture_archive):
     assert run(["score", "--archive", fixture_archive]) == 0
     first_archive = fixture_archive.read_bytes()

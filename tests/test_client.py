@@ -209,6 +209,15 @@ def test_persistent_feed_failure_keeps_partial_result(stub_server):
     assert "giving up" in partial.error
 
 
+def test_feed_page_without_review_list_is_feed_error(stub_server):
+    # the stub serves each page as {"reviews": page, ...}; page 2 is a number
+    stub_server.review_pages["a1"] = [[feed_item(i) for i in range(3)], 5]
+    with StoreClient(fast_config(stub_server)) as client:
+        result = client.fetch_reviews("a1")
+    assert len(result.reviews) == 3
+    assert result.error == "page 2: expected a list of reviews"
+
+
 def test_rate_limit_config_validated():
     with pytest.raises(ClientError):
         ClientConfig(base_url="http://x", rate_limit=0)

@@ -3,8 +3,8 @@ and labeled topics.
 
 Each reader checks the header trimmed and case-insensitive, skips blank
 rows while still counting them in line numbers, and reports a row of the
-wrong width. The emoji lexicon stops at that row; releases and topics
-reject it and read on.
+wrong width at the file line where it starts. The emoji lexicon stops at
+that row; releases and topics reject it and read on.
 """
 
 import io
@@ -38,6 +38,7 @@ class Reader:
     header: str
     rows: tuple[str, str]  # two valid data rows
     keys: list[str]  # what ``read`` returns for those two rows
+    spanning: str  # the first row again, with one field quoted across two lines
     error: type
     empty: str  # the whole message for an empty input
     aborts: bool  # a row of the wrong width raises instead of being rejected
@@ -53,6 +54,7 @@ READERS = {
         "emoji,occurrences,polarity",
         ("😀,500,1", "😡,400,-1"),
         ["😀", "😡"],
+        '😀,"500\n",1',
         EmojiLexiconError,
         "empty stream, expected a header row",
         aborts=True,
@@ -62,6 +64,7 @@ READERS = {
         "app_id,version,date,notes",
         ("app1,1.0,2016-01-01,first", "app1,1.1,2016-02-01,second"),
         ["1.0", "1.1"],
+        'app1,1.0,2016-01-01,"first\nline"',
         ArchiveError,
         "empty release file, expected a header row",
         aborts=False,
@@ -71,6 +74,7 @@ READERS = {
         "id,topic,title,body",
         ("t1,BugReport,crash,on start", "t2,Rating,five,stars"),
         ["t1", "t2"],
+        't1,BugReport,crash,"on\nstart"',
         ValueError,
         "empty labeled file, expected a header row",
         aborts=False,
@@ -115,3 +119,13 @@ def test_csv_reader_contract(reader):
                 reader.keys,
                 [(4, f"expected {reader.width} columns, got {width}")],
             )
+
+    # lines: 1 header, 2-3 first, 4 bad width, 5 second
+    text = f"{reader.header}\n{reader.spanning}\n{','.join(['x'] * 2)}\n{second}\n"
+    if reader.aborts:
+        assert _raises(reader, text) == f"line 4: expected {reader.width} columns, got 2"
+    else:
+        assert reader.read(io.StringIO(text)) == (
+            reader.keys,
+            [(4, f"expected {reader.width} columns, got 2")],
+        )

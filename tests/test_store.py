@@ -1,9 +1,11 @@
 """Archive model, persistence round-trips, and release import."""
 
+import dataclasses
 import datetime as dt
 import io
 import json
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -142,6 +144,42 @@ def test_idempotent_ingestion(tmp_path):
     merged.merge(archive)
     merged.merge(archive)
     assert merged == archive
+
+
+def test_archive_line_keys_per_kind(tmp_path):
+    archive = Archive()
+    archive.add_app(dataclasses.replace(make_app("app1"), raw_details=MappingProxyType({})))
+    archive.add_review(make_review("app1", "r1"))
+    archive.add_release(Release("app1", "1.0", dt.date(2016, 1, 4)))
+    archive.set_score("app1", "r1", SentimentScore(3, -4))
+    path = tmp_path / "archive.jsonl"
+    save_archive(archive, path)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    keys = {line["kind"]: set(line) for line in lines}
+    assert keys == {
+        "app": {
+            "kind", "app_id", "name", "primary_category", "price", "is_free",
+            "current_version", "raw_details",
+        },
+        "review": {
+            "kind", "review_id", "app_id", "author", "title", "body", "rating",
+            "date", "helpful_votes", "app_version", "raw",
+        },
+        "release": {"kind", "app_id", "version", "date", "notes"},
+        "score": {"kind", "app_id", "review_id", "positive", "negative", "combined"},
+    }
+    app, review, release, score = lines
+    assert (app["is_free"], app["raw_details"]) == (True, {})
+    assert (review["date"], release["date"]) == ("2016-01-04", "2016-01-04")
+    assert (score["positive"], score["negative"], score["combined"]) == (3, -4, "-4")
+    assert load_archive(path) == archive
+
+
+def test_archive_equality_ignores_load_skips():
+    skipped = Archive()
+    skipped.load_skips.append((1, "expected a JSON object"))
+    assert skipped == Archive()
+    assert repr(skipped).startswith("<reviewsent.store.Archive object at ")
 
 
 def test_corrupt_lines_skipped_with_report(tmp_path):
