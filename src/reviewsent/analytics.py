@@ -22,7 +22,7 @@ from typing import IO, Callable, Iterable, Mapping, Sequence
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
 from .combine import Polarity, combine, polarity_class  # noqa: F401
-from .store import Archive, ScoredRow
+from .store import Archive, ScoredRow, ScoredView
 from .tables import fmt, read_rows, writer
 
 STRONG_NEGATIVE_CUTOFF = -4  # combined <= -4 counts as strongly negative
@@ -158,7 +158,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 # --- archive aggregation ---------------------------------------------------
 
 
-def summarize_by_category(archive: Archive) -> list[CategorySummary]:
+def summarize_by_category(archive: Archive | ScoredView) -> list[CategorySummary]:
     """Per-category counts, central statistics, and polarity shares."""
     by_category: dict[str, list[ScoredRow]] = {}
     for row in archive.scored_rows():
@@ -169,7 +169,7 @@ def summarize_by_category(archive: Archive) -> list[CategorySummary]:
     ]
 
 
-def overall_summary(archive: Archive) -> CategorySummary:
+def overall_summary(archive: Archive | ScoredView) -> CategorySummary:
     """One summary row over the whole archive, labeled ``ALL``."""
     return _summarize_category(OVERALL_CATEGORY, archive.scored_rows())
 
@@ -196,7 +196,7 @@ def _summarize_category(category: str, members: list[ScoredRow]) -> CategorySumm
     )
 
 
-def sentiment_by_rating(archive: Archive) -> dict[int, RatingSummary]:
+def sentiment_by_rating(archive: Archive | ScoredView) -> dict[int, RatingSummary]:
     """Box statistics of combined sentiment per star rating (1..5).
 
     Stars with no defined sentiment are absent from the result.
@@ -230,21 +230,23 @@ def sentiment_by_rating(archive: Archive) -> dict[int, RatingSummary]:
 
 
 def sentiment_vs_rating(
-    archive: Archive, include_neutral: bool = True
+    archive: Archive | ScoredView, include_neutral: bool = True
 ) -> CorrelationResult:
     """Correlation of star rating with combined sentiment, review-level pairs."""
     return _correlate(archive, lambda row: float(row.rating), include_neutral)
 
 
 def sentiment_vs_price(
-    archive: Archive, include_neutral: bool = True
+    archive: Archive | ScoredView, include_neutral: bool = True
 ) -> CorrelationResult:
     """Correlation of app price with combined sentiment, review-level pairs."""
     return _correlate(archive, lambda row: row.price, include_neutral)
 
 
 def _correlate(
-    archive: Archive, x_of: Callable[[ScoredRow], float], include_neutral: bool
+    archive: Archive | ScoredView,
+    x_of: Callable[[ScoredRow], float],
+    include_neutral: bool,
 ) -> CorrelationResult:
     rows = [
         row

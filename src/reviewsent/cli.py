@@ -34,8 +34,10 @@ from .lexicon import (
 from .store import (
     Archive,
     ArchiveError,
+    ScoredView,
     import_releases,
     load_archive,
+    load_scored_view,
     save_archive,
 )
 
@@ -43,6 +45,7 @@ log = logging.getLogger(__name__)
 
 ENV_BASE_URL = "REVIEWSENT_BASE_URL"
 ENV_RATE_LIMIT = "REVIEWSENT_RATE_LIMIT"
+NO_REVIEWS = "archive has no reviews; run ingest first"
 
 
 class CliError(RuntimeError):
@@ -69,8 +72,16 @@ def _load_archive(args) -> Archive:
     """The archive named by ``--archive``; it must hold reviews."""
     archive = load_archive(_require_file(args.archive, "archive"))
     if not archive.reviews:
-        raise CliError("archive has no reviews; run ingest first")
+        raise CliError(NO_REVIEWS)
     return archive
+
+
+def _load_view(args) -> ScoredView:
+    """The scored view of the archive named by ``--archive``; it must hold reviews."""
+    view = load_scored_view(_require_file(args.archive, "archive"))
+    if not view.rows:
+        raise CliError(NO_REVIEWS)
+    return view
 
 
 def _load_lexicon(args) -> Lexicon:
@@ -153,8 +164,8 @@ def cmd_ingest(args) -> int:
             for app in details.records:
                 archive.add_app(app)
                 feed = client.fetch_reviews(app.app_id, since=args.since)
-                if feed.error:
-                    print(f"app {app.app_id}: {feed.error}", file=sys.stderr)
+                for reason in feed.errors:
+                    print(f"app {app.app_id}: {reason}", file=sys.stderr)
                 if feed.duplicates:
                     print(
                         f"app {app.app_id}: dropped {feed.duplicates} duplicate reviews",
@@ -190,20 +201,20 @@ def cmd_score(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    archive = _load_archive(args)
-    summaries = analytics.summarize_by_category(archive)
-    summaries.append(analytics.overall_summary(archive))
+    view = _load_view(args)
+    summaries = analytics.summarize_by_category(view)
+    summaries.append(analytics.overall_summary(view))
     _write_report(args, lambda out: analytics.write_category_report(summaries, out))
     return 0
 
 
 def cmd_correlate(args) -> int:
-    archive = _load_archive(args)
+    view = _load_view(args)
     include_neutral = not args.exclude_neutral
     if args.target == "rating":
-        result = analytics.sentiment_vs_rating(archive, include_neutral=include_neutral)
+        result = analytics.sentiment_vs_rating(view, include_neutral=include_neutral)
     else:
-        result = analytics.sentiment_vs_price(archive, include_neutral=include_neutral)
+        result = analytics.sentiment_vs_price(view, include_neutral=include_neutral)
     _write_report(
         args, lambda out: analytics.write_correlation_report(result, args.target, out)
     )
@@ -226,25 +237,25 @@ def cmd_topics(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    archive = _load_archive(args)
+    view = _load_view(args)
     series = temporal.weekly_aggregate(
-        archive, args.app_id, args.window_start, args.window_end
+        view, args.app_id, args.window_start, args.window_end
     )
     _write_report(args, lambda out: temporal.write_timeline(series, out))
     return 0
 
 
 def cmd_patterns(args) -> int:
-    archive = _load_archive(args)
+    view = _load_view(args)
     config = temporal.PatternConfig(
         **{f.name: getattr(args, f.name) for f in fields(temporal.PatternConfig)}
     )
     app_ids = temporal.qualifying_apps(
-        archive, args.window_start, args.window_end, args.min_reviews
+        view, args.window_start, args.window_end, args.min_reviews
     )
     rows = []
     for series in temporal.weekly_aggregates(
-        archive, app_ids, args.window_start, args.window_end
+        view, app_ids, args.window_start, args.window_end
     ):
         try:
             rows.append((series.app_id, temporal.classify_patterns(series, config)))

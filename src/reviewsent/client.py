@@ -55,7 +55,7 @@ class AppDetailsResult:
 class ReviewFetchResult:
     reviews: list[Review] = field(default_factory=list)
     duplicates: int = 0
-    error: str | None = None  # set when the feed drain aborted early
+    errors: list[str] = field(default_factory=list)  # bad items, or why the drain stopped
 
 
 class StoreClient:
@@ -170,7 +170,9 @@ class StoreClient:
 
         Pages are read until exhausted or, when ``since`` is given, until
         a review older than it appears (the feed is newest first).
-        Duplicate review ids are dropped and counted.
+        Duplicate review ids are dropped and counted. A bad review payload
+        is skipped; its reason, and the reason the drain stopped early, if
+        it did, are kept in ``errors`` in the order they happened.
         """
         result = ReviewFetchResult()
         seen: set[str] = set()
@@ -182,20 +184,20 @@ class StoreClient:
                     params={"page": page},
                 )
             except ClientError as exc:
-                result.error = str(exc)
+                result.errors.append(str(exc))
                 log.warning("review feed for %s aborted at page %d: %s", app_id, page, exc)
                 return result
             items = payload.get("reviews") or []
             if not isinstance(items, list):
-                result.error = f"page {page}: expected a list of reviews"
-                log.warning("app %s: %s", app_id, result.error)
+                result.errors.append(f"page {page}: expected a list of reviews")
+                log.warning("app %s: %s", app_id, result.errors[-1])
                 return result
             for item in items:
                 try:
                     review = _review_from_feed(app_id, item)
                 except (KeyError, TypeError, ValueError) as exc:
-                    result.error = f"page {page}: bad review payload ({exc})"
-                    log.warning("app %s: %s", app_id, result.error)
+                    result.errors.append(f"page {page}: bad review payload ({exc})")
+                    log.warning("app %s: %s", app_id, result.errors[-1])
                     continue
                 if since is not None and review.date < since:
                     return result

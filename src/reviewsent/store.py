@@ -5,6 +5,11 @@ An archive is a plain JSON-lines file: one entity per line with a
 exactly; corrupt lines are skipped and reported instead of aborting the
 load. Writers take an exclusive lock file next to the archive so only
 one process mutates it at a time.
+
+Next to a fully scored archive the writer also keeps a scored-view
+sidecar (``<archive>.view``): the table the reports read, keyed by the
+archive's byte length and CRC-32, so a report can skip parsing the
+archive while the two match.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import datetime as dt
 import json
 import logging
 import os
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cache
@@ -114,6 +120,23 @@ class ScoredRow(NamedTuple):
     text_length: int
 
 
+@dataclass(frozen=True)
+class ScoredView:
+    """What the reports read from an archive: its scored rows, app ids and releases.
+
+    ``Archive.scored_view()`` builds it from a loaded archive and
+    ``load_scored_view`` from the sidecar. An ``Archive`` offers the same
+    three members, so report functions take either.
+    """
+
+    rows: list[ScoredRow]
+    apps: frozenset[str]
+    releases: dict[tuple[str, str], Release]  # without notes
+
+    def scored_rows(self) -> list[ScoredRow]:
+        return self.rows
+
+
 @dataclass(repr=False)
 class Archive:
     """In-memory collection of apps, reviews, releases, and scores.
@@ -183,6 +206,14 @@ class Archive:
                 )
             )
         return rows
+
+    def scored_view(self) -> ScoredView:
+        """The scored rows, app ids and release dates; raises like ``scored_rows``."""
+        return ScoredView(
+            self.scored_rows(),
+            frozenset(self.apps),
+            {key: Release(r.app_id, r.version, r.date) for key, r in self.releases.items()},
+        )
 
     def counts(self) -> dict[str, int]:
         return {
@@ -264,10 +295,16 @@ def archive_lock(path: str | Path):
 
 
 def save_archive(archive: Archive, path: str | Path) -> None:
-    """Persist an archive as sorted JSON lines (deterministic bytes)."""
+    """Persist an archive as sorted JSON lines (deterministic bytes).
+
+    When every review is scored, the scored-view sidecar is rewritten
+    for the new bytes; otherwise it is removed.
+    """
     path = Path(path)
+    sidecar = view_path(path)
     with archive_lock(path):
         tmp = path.with_suffix(path.suffix + ".tmp")
+        sidecar_tmp = sidecar.with_suffix(sidecar.suffix + ".tmp")
         try:
             with tmp.open("w", encoding="utf-8", newline="\n") as out:
                 for app_id in sorted(archive.apps):
@@ -283,10 +320,23 @@ def save_archive(archive: Archive, path: str | Path) -> None:
                         "score", score, app_id=app_id, review_id=review_id, combined=combined
                     )
                     _write_line(out, line)
+            try:
+                view = archive.scored_view()
+            except ArchiveError:  # unscored reviews or unknown apps: reports load in full
+                view = None
+            if view is not None:
+                _write_view(view, _archive_key(tmp), sidecar_tmp)
         except BaseException:
             tmp.unlink(missing_ok=True)
+            sidecar_tmp.unlink(missing_ok=True)
             raise
+        # a crash between the two steps leaves a sidecar whose key no longer
+        # matches, which readers ignore
         tmp.replace(path)
+        if view is None:
+            sidecar.unlink(missing_ok=True)
+        else:
+            sidecar_tmp.replace(sidecar)
 
 
 def _json_value(value: object) -> object:
@@ -311,10 +361,39 @@ def load_archive(path: str | Path) -> Archive:
 
     Skipped lines are reported in ``archive.load_skips`` as
     (line number, reason) pairs. Score lines are validated against the
-    combined-sentiment rule before being accepted.
+    combined-sentiment rule before being accepted. When a key repeats,
+    the last accepted line wins and each line it supersedes is reported.
     """
     archive = Archive()
     pending_scores: list[tuple[int, dict]] = []
+    tables = {
+        "app": archive.apps,
+        "review": archive.reviews,
+        "release": archive.releases,
+        "score": archive.scores,
+    }
+    # the line of each key's accepted entity, in its table's key order: a
+    # key -> line dict raised the peak RSS of a report loading 12k reviews
+    # by ~2.5 MiB, and repeats are rare, so keys are mapped to positions
+    # only on a kind's first repeat
+    lines: dict[str, list[int]] = {kind: [] for kind in tables}
+    positions: dict[str, dict[object, int]] = {}
+
+    def accept(kind: str, key: object, lineno: int) -> None:
+        table, kind_lines = tables[kind], lines[kind]
+        if len(table) > len(kind_lines):  # a new key, which the table appended last
+            kind_lines.append(lineno)
+            if kind in positions:
+                positions[kind][key] = len(kind_lines) - 1
+            return
+        if kind not in positions:
+            positions[kind] = {k: i for i, k in enumerate(table)}
+        at = positions[kind][key]
+        archive.load_skips.append(
+            (kind_lines[at], f"duplicate {kind} key {key!r}, superseded by line {lineno}")
+        )
+        kind_lines[at] = lineno
+
     with open(path, encoding="utf-8") as stream:
         for lineno, raw in enumerate(stream, start=1):
             if not raw.strip():
@@ -325,11 +404,17 @@ def load_archive(path: str | Path) -> Archive:
                     raise ArchiveError("expected a JSON object")
                 kind = obj.get("kind")
                 if kind == "app":
-                    archive.add_app(_app_record_from_json(obj))
+                    app = _app_record_from_json(obj)
+                    archive.add_app(app)
+                    accept(kind, app.app_id, lineno)
                 elif kind == "review":
-                    archive.add_review(_review_from_json(obj))
+                    review = _review_from_json(obj)
+                    archive.add_review(review)
+                    accept(kind, (review.app_id, review.review_id), lineno)
                 elif kind == "release":
-                    archive.add_release(_release_from_json(obj))
+                    release = _release_from_json(obj)
+                    archive.add_release(release)
+                    accept(kind, (release.app_id, release.version), lineno)
                 elif kind == "score":
                     pending_scores.append((lineno, obj))
                 else:
@@ -345,12 +430,96 @@ def load_archive(path: str | Path) -> Archive:
                     f"combined {obj['combined']!r} does not match "
                     f"({score.positive}, {score.negative})"
                 )
-            archive.set_score(str(obj["app_id"]), str(obj["review_id"]), score)
+            key = (str(obj["app_id"]), str(obj["review_id"]))
+            archive.set_score(*key, score)
+            accept("score", key, lineno)
         except (ArchiveError, KeyError, TypeError, ValueError) as exc:
             archive.load_skips.append((lineno, str(exc) or repr(exc)))
     if archive.load_skips:
         log.warning("archive %s: skipped %d corrupt lines", path, len(archive.load_skips))
     return archive
+
+
+# --- scored-view sidecar ---------------------------------------------------
+
+VIEW_VERSION = 1
+
+
+def view_path(path: str | Path) -> Path:
+    """The scored-view sidecar of an archive: ``<archive>.view``."""
+    return Path(f"{path}.view")
+
+
+def _archive_key(path: Path) -> list[int]:
+    """Byte length and CRC-32 of a file, read in 64 KiB chunks.
+
+    The key detects a stale sidecar, not tampering: whoever can rewrite
+    the archive can rewrite the sidecar too.
+    """
+    size = crc = 0
+    with open(path, "rb") as stream:
+        while chunk := stream.read(1 << 16):
+            size += len(chunk)
+            crc = zlib.crc32(chunk, crc)
+    return [size, crc]
+
+
+def _write_view(view: ScoredView, key: list[int], path: Path) -> None:
+    columns = list(zip(*view.rows)) or [()] * len(ScoredRow._fields)
+    payload = {
+        "version": VIEW_VERSION,
+        "key": key,
+        "columns": dict(zip(ScoredRow._fields, columns)),
+        "apps": sorted(view.apps),
+        "releases": [(r.app_id, r.version, r.date) for _, r in sorted(view.releases.items())],
+    }
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(_ENCODER.encode(payload))
+
+
+def _read_view(path: Path) -> ScoredView:
+    """The archive's view from its sidecar; raises unless the sidecar is current."""
+    with view_path(path).open(encoding="utf-8") as stream:
+        payload = json.load(stream)
+    if not isinstance(payload, dict) or payload.get("version") != VIEW_VERSION:
+        raise ArchiveError("unknown sidecar version")
+    if payload["key"] != _archive_key(path):
+        raise ArchiveError("sidecar describes other archive bytes")
+    columns = payload["columns"]
+    if not isinstance(columns, dict) or set(columns) != set(ScoredRow._fields):
+        raise ArchiveError("sidecar columns do not match ScoredRow")
+    table = [columns[name] for name in ScoredRow._fields]
+    if not all(isinstance(column, list) for column in table) or len(set(map(len, table))) > 1:
+        raise ArchiveError("sidecar columns are not lists of one length")
+    dates = ScoredRow._fields.index("date")
+    table[dates] = map(dt.date.fromisoformat, table[dates])
+    apps = payload["apps"]
+    if not isinstance(apps, list) or not all(isinstance(a, str) for a in apps):
+        raise ArchiveError("sidecar apps are not a list of ids")
+    releases = [
+        Release(app_id, version, dt.date.fromisoformat(date))
+        for app_id, version, date in payload["releases"]
+    ]
+    return ScoredView(
+        list(map(ScoredRow, *table)),
+        frozenset(apps),
+        {(r.app_id, r.version): r for r in releases},
+    )
+
+
+def load_scored_view(path: str | Path) -> ScoredView:
+    """The scored view of an archive, from its sidecar while that is current.
+
+    A sidecar that is missing, unreadable, malformed or keyed to other
+    bytes is ignored: the view then comes from ``load_archive(path)``,
+    with its warning and its "run score first" error.
+    """
+    path = Path(path)
+    try:
+        return _read_view(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # ArchiveError too
+        log.debug("archive %s: sidecar not used (%s)", path, exc)
+    return load_archive(path).scored_view()
 
 
 # --- release import --------------------------------------------------------

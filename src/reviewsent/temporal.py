@@ -24,7 +24,7 @@ from .analytics import sample_sd
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
 from .combine import combine  # noqa: F401
-from .store import Archive
+from .store import Archive, ScoredView
 from .tables import fmt, writer
 
 MIN_PATTERN_POINTS = 8
@@ -121,14 +121,14 @@ class ReleaseImpact:
 
 
 def weekly_aggregate(
-    archive: Archive, app_id: str, start: dt.date, end: dt.date
+    archive: Archive | ScoredView, app_id: str, start: dt.date, end: dt.date
 ) -> WeeklySeries:
     """Weekly series of one app over [start, end]; see :func:`weekly_aggregates`."""
     return weekly_aggregates(archive, [app_id], start, end)[0]
 
 
 def weekly_aggregates(
-    archive: Archive, app_ids: Sequence[str], start: dt.date, end: dt.date
+    archive: Archive | ScoredView, app_ids: Sequence[str], start: dt.date, end: dt.date
 ) -> list[WeeklySeries]:
     """Weekly series of each app over [start, end], consecutive 7-day bins.
 
@@ -339,14 +339,14 @@ def write_pattern_report(
 
 
 def qualifying_apps(
-    archive: Archive,
+    archive: Archive | ScoredView,
     start: dt.date,
     end: dt.date,
     min_reviews: int = DEFAULT_QUALIFYING_REVIEWS,
 ) -> list[str]:
     """Apps with more than ``min_reviews`` reviews inside the window."""
     counts: dict[str, int] = {}
-    for review in archive.reviews.values():
-        if start <= review.date <= end:
-            counts[review.app_id] = counts.get(review.app_id, 0) + 1
+    for row in archive.scored_rows():
+        if start <= row.date <= end:
+            counts[row.app_id] = counts.get(row.app_id, 0) + 1
     return sorted(app_id for app_id, n in counts.items() if n > min_reviews)

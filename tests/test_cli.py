@@ -389,3 +389,134 @@ def test_bad_date_flag_fails(fixture_archive, capsys):
 def test_score_with_no_emoji_flag(tmp_path, fixture_archive):
     assert run(["score", "--archive", fixture_archive, "--no-emoji"]) == 0
     assert load_archive(fixture_archive).scores
+
+
+# --- scored-view sidecar ---------------------------------------------------------
+
+WINDOW = ["--from", "2016-01-04", "--to", "2016-12-18"]
+REPORTS = {
+    "summarize": ["summarize"],
+    "correlate_rating": ["correlate", "--target", "rating"],
+    "correlate_price": ["correlate", "--target", "price"],
+    "timeline": ["timeline", "--app-id", "app0", *WINDOW],
+    "patterns": ["patterns", *WINDOW, "--min-reviews", "5"],
+}
+
+
+def _scored_with_releases(tmp_path, archive) -> Path:
+    releases = tmp_path / "releases.csv"
+    releases.write_text(
+        "app_id,version,date,notes\napp0,1.1,2016-03-01,x\napp0,2.0,2016-06-01,y\n",
+        encoding="utf-8",
+    )
+    assert run(["ingest", "--archive", archive, "--releases", releases]) == 0
+    assert run(["score", "--archive", archive]) == 0
+    return archive
+
+
+def _reports(archive, out_dir) -> dict[str, bytes]:
+    out_dir.mkdir()
+    for name, (command, *flags) in REPORTS.items():
+        out = out_dir / f"{name}.csv"
+        assert run([command, "--archive", archive, *flags, "--out", out]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def _listing(directory) -> dict[str, int]:
+    return {path.name: path.stat().st_mtime_ns for path in directory.iterdir()}
+
+
+def test_reports_identical_with_and_without_sidecar(tmp_path, fixture_archive):
+    archive = _scored_with_releases(tmp_path, fixture_archive)
+    sidecar = Path(f"{archive}.view")
+    assert sidecar.is_file()
+    with_sidecar = _reports(archive, tmp_path / "hit")
+    sidecar.unlink()
+    without_sidecar = _reports(archive, tmp_path / "miss")
+    assert not sidecar.exists()  # reports never write the sidecar
+    assert len(with_sidecar) == 5
+    assert with_sidecar == without_sidecar
+
+
+def test_reports_in_read_only_directory_create_no_file(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    archive = data / "archive.jsonl"
+    save_archive(unscored_text_archive(random.Random(12), n_apps=3, n_reviews=40), archive)
+    _scored_with_releases(tmp_path, archive)
+    Path(f"{archive}.view").unlink()  # a miss is where a report could be tempted to write
+    before = _listing(data)
+    data.chmod(0o555)
+    try:
+        reports = _reports(archive, tmp_path / "out")
+    finally:
+        data.chmod(0o755)
+    assert len(reports) == 5
+    assert _listing(data) == before
+
+
+def test_summarize_on_current_sidecar_never_parses_archive(tmp_path, fixture_archive, monkeypatch):
+    import reviewsent.cli as cli
+    import reviewsent.store as store
+
+    assert run(["score", "--archive", fixture_archive]) == 0
+    expected = tmp_path / "expected.csv"
+    assert run(["summarize", "--archive", fixture_archive, "--out", expected]) == 0
+
+    def no_parse(path):
+        raise AssertionError(f"archive {path} parsed")
+
+    monkeypatch.setattr(store, "load_archive", no_parse)
+    monkeypatch.setattr(cli, "load_archive", no_parse)
+    report = tmp_path / "summary.csv"
+    assert run(["summarize", "--archive", fixture_archive, "--out", report]) == 0
+    assert report.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("sidecar", ["current", "deleted"])
+def test_report_on_archive_without_reviews_fails(tmp_path, capsys, sidecar):
+    from helpers import make_app
+    from reviewsent.store import Archive
+
+    archive = Archive()
+    archive.add_app(make_app("app0"))
+    path = tmp_path / "apps-only.jsonl"
+    save_archive(archive, path)
+    assert Path(f"{path}.view").is_file()  # nothing is unscored
+    if sidecar == "deleted":
+        Path(f"{path}.view").unlink()
+    assert run(["summarize", "--archive", path]) == 1
+    assert "archive has no reviews; run ingest first" in capsys.readouterr().err
+
+
+def test_ingest_of_unscored_reviews_removes_sidecar(tmp_path, fixture_archive, capsys):
+    from helpers import make_review
+
+    assert run(["score", "--archive", fixture_archive]) == 0
+    sidecar = Path(f"{fixture_archive}.view")
+    assert sidecar.is_file()
+    extra = load_archive(fixture_archive)
+    extra.add_review(make_review("app1", "late"))
+    extra_path = tmp_path / "extra.jsonl"
+    save_archive(extra, extra_path)
+    assert not Path(f"{extra_path}.view").exists()
+    assert run(["ingest", "--archive", fixture_archive, "--import-archive", extra_path]) == 0
+    assert not sidecar.exists()
+    capsys.readouterr()
+    assert run(["summarize", "--archive", fixture_archive]) == 1
+    assert "1 reviews have no score; run score first" in capsys.readouterr().err
+
+
+def test_ingest_prints_every_feed_error(tmp_path, stub_server, monkeypatch, capsys):
+    stub_server.app_payloads["a1"] = lookup_payload("a1")
+    stub_server.review_pages["a1"] = [
+        [feed_item(0), {"id": "no-rating", "date": "2016-03-01"}],
+        [feed_item(1, date="March 1")],
+    ]
+    monkeypatch.setenv("REVIEWSENT_RATE_LIMIT", "10000")
+    target = tmp_path / "fetched.jsonl"
+    rc = run(["ingest", "--archive", target, "--app-id", "a1", "--base-url", stub_server.base_url])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "app a1: page 1: bad review payload ('rating')" in err
+    assert "app a1: page 2: bad review payload (Invalid isoformat string: 'March 1')" in err

@@ -92,7 +92,7 @@ def test_rate_limited_429_is_retried(stub_server):
         feed = client.fetch_reviews("a1")
     assert [r.app_id for r in details.records] == ["a1"]
     assert len(feed.reviews) == 5
-    assert feed.error is None
+    assert feed.errors == []
     assert len(stub_server.requests) == 6
 
 
@@ -106,7 +106,8 @@ def test_persistent_429_gives_up(stub_server):
             client.fetch_app_details(["a1"])
         feed = client.fetch_reviews("a1")
     assert feed.reviews == []
-    assert "giving up after retries (HTTP 429)" in feed.error
+    (reason,) = feed.errors
+    assert "giving up after retries (HTTP 429)" in reason
 
 
 @pytest.mark.parametrize(
@@ -160,7 +161,7 @@ def test_pagination_drains_three_pages(stub_server):
     assert len(result.reviews) == 150
     assert len({r.review_id for r in result.reviews}) == 150
     assert result.duplicates == 0
-    assert result.error is None
+    assert result.errors == []
 
 
 def test_duplicate_review_id_dropped_and_counted(stub_server):
@@ -205,8 +206,8 @@ def test_persistent_feed_failure_keeps_partial_result(stub_server):
     with StoreClient(fast_config(stub_server)) as client:
         partial = client.fetch_reviews("a1")
     assert len(partial.reviews) == 5  # first page survived
-    assert partial.error is not None
-    assert "giving up" in partial.error
+    (reason,) = partial.errors
+    assert "giving up" in reason
 
 
 def test_feed_page_without_review_list_is_feed_error(stub_server):
@@ -215,7 +216,21 @@ def test_feed_page_without_review_list_is_feed_error(stub_server):
     with StoreClient(fast_config(stub_server)) as client:
         result = client.fetch_reviews("a1")
     assert len(result.reviews) == 3
-    assert result.error == "page 2: expected a list of reviews"
+    assert result.errors == ["page 2: expected a list of reviews"]
+
+
+def test_every_bad_review_payload_is_kept(stub_server):
+    # one bad item on each of two pages; before, the second reason replaced the first
+    first = [feed_item(0), {"id": "no-rating", "date": "2016-03-01"}, feed_item(1)]
+    second = [feed_item(2, date="March 1"), feed_item(3)]
+    stub_server.review_pages["a1"] = [first, second]
+    with StoreClient(fast_config(stub_server)) as client:
+        result = client.fetch_reviews("a1")
+    assert [r.review_id for r in result.reviews] == ["rev-0000", "rev-0001", "rev-0003"]
+    assert result.errors == [
+        "page 1: bad review payload ('rating')",
+        "page 2: bad review payload (Invalid isoformat string: 'March 1')",
+    ]
 
 
 def test_rate_limit_config_validated():

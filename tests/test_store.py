@@ -5,14 +5,19 @@ import datetime as dt
 import io
 import json
 import random
+import tempfile
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewsent import store
 from reviewsent.combine import combine
 from reviewsent.engine import SentimentScore
 from reviewsent.store import (
+    AppRecord,
     Archive,
     ArchiveError,
     ArchiveLockedError,
@@ -21,10 +26,18 @@ from reviewsent.store import (
     archive_lock,
     import_releases,
     load_archive,
+    load_scored_view,
     save_archive,
+    view_path,
 )
 
-from helpers import make_app, make_review, random_archive, score_for_combined
+from helpers import (
+    COMBINED_TO_SCORE,
+    make_app,
+    make_review,
+    random_archive,
+    score_for_combined,
+)
 
 
 def test_review_validation():
@@ -240,6 +253,7 @@ def test_failed_save_keeps_old_archive_and_leaves_no_tmp(tmp_path, monkeypatch):
     path = tmp_path / "archive.jsonl"
     save_archive(random_archive(random.Random(3), n_reviews=20), path)
     before = path.read_bytes()
+    view_before = store.view_path(path).read_bytes()
 
     write_line = store._write_line
     calls = 0
@@ -257,11 +271,209 @@ def test_failed_save_keeps_old_archive_and_leaves_no_tmp(tmp_path, monkeypatch):
         save_archive(replacement, path)
     assert calls == 10
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl"]
+    assert store.view_path(path).read_bytes() == view_before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "archive.jsonl.view"]
 
     monkeypatch.setattr(store, "_write_line", write_line)
     save_archive(replacement, path)  # lock released
     assert load_archive(path) == replacement
+
+
+def test_repeated_keys_last_line_wins_and_superseded_lines_reported(tmp_path):
+    archive = Archive()
+    archive.add_app(make_app("app1"))
+    archive.add_review(make_review("app1", "r1"))
+    archive.add_release(Release("app1", "1.0", dt.date(2016, 1, 4)))
+    archive.set_score("app1", "r1", SentimentScore(3, -4))
+    path = tmp_path / "archive.jsonl"
+    save_archive(archive, path)
+    app, review, release, score = path.read_text(encoding="utf-8").splitlines()
+    lines = [
+        app.replace("App app1", "Old name"),  # 1, superseded by 5
+        review.replace("a body", "old body"),  # 2, superseded by 7
+        release,  # 3, superseded by 8
+        score.replace('"positive": 3', '"positive": 2'),  # 4, superseded by 9
+        app,  # 5
+        json.dumps({"kind": "review", "review_id": "r1"}),  # 6: corrupt, supersedes nothing
+        review,  # 7
+        release.replace('"notes": ""', '"notes": "again"'),  # 8
+        score,  # 9
+        review.replace('"r1"', '"r2"'),  # 10: a new key after the first repeat, superseded by 11
+        review.replace('"r1"', '"r2"').replace("a body", "r2 body"),  # 11
+        review.replace("a body", "third body"),  # 12: r1 a third time, supersedes 7
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_archive(path)
+    assert loaded.apps["app1"].name == "App app1"
+    assert loaded.reviews[("app1", "r1")].body == "third body"
+    assert loaded.reviews[("app1", "r2")].body == "r2 body"
+    assert loaded.releases[("app1", "1.0")].notes == "again"
+    assert loaded.scores[("app1", "r1")] == SentimentScore(3, -4)
+    assert sorted(loaded.load_skips)[:2] == [
+        (1, "duplicate app key 'app1', superseded by line 5"),
+        (2, "duplicate review key ('app1', 'r1'), superseded by line 7"),
+    ]
+    assert sorted(loaded.load_skips)[2:] == [
+        (3, "duplicate release key ('app1', '1.0'), superseded by line 8"),
+        (4, "duplicate score key ('app1', 'r1'), superseded by line 9"),
+        (6, "'app_id'"),
+        (7, "duplicate review key ('app1', 'r1'), superseded by line 12"),
+        (10, "duplicate review key ('app1', 'r2'), superseded by line 11"),
+    ]
+
+
+
+def _entity_line(kind: str, k: int) -> tuple[object, str]:
+    """An archive line of one of a few apps, reviews or releases, and its key."""
+    if kind == "app":
+        app = make_app(f"a{k}")
+        return app.app_id, store._ENCODER.encode(
+            store._entity_to_json("app", app, is_free=app.is_free)
+        )
+    if kind == "review":
+        key, entity = ("a0", f"r{k}"), make_review("a0", f"r{k}")
+    else:
+        key, entity = ("a0", f"v{k}"), Release("a0", f"v{k}", dt.date(2016, 1, 4))
+    return key, store._ENCODER.encode(store._entity_to_json(kind, entity))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["app", "review", "release"]), st.integers(0, 3))))
+def test_superseded_lines_match_a_map_of_every_key(entries):
+    lines, expected, line_of = [], [], {}
+    for lineno, (kind, k) in enumerate(entries, start=1):
+        key, line = _entity_line(kind, k)
+        lines.append(line)
+        if (kind, key) in line_of:
+            expected.append(
+                (line_of[kind, key], f"duplicate {kind} key {key!r}, superseded by line {lineno}")
+            )
+        line_of[kind, key] = lineno
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert sorted(load_archive(path).load_skips) == sorted(expected)
+
+# --- scored-view sidecar ---------------------------------------------------------
+
+TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.sampled_from(["", "two\nlines", "crlf\r\nend", "ünï 😀 ✓", "a,b;\"c\""]),
+)
+DATES = st.dates(dt.date(2015, 1, 1), dt.date(2017, 12, 31))
+
+
+@st.composite
+def scored_archives(draw) -> Archive:
+    """Apps with and without reviews, free and paid, every combined value, releases."""
+    archive = Archive()
+    n_apps = draw(st.integers(1, 4))
+    for a in range(n_apps):
+        archive.add_app(
+            AppRecord(
+                app_id=f"app{a}{draw(TEXT)}",
+                name=draw(TEXT),
+                primary_category=draw(TEXT),
+                price=draw(st.sampled_from([0.0, 0.99, 4.99, 1e-7, 1234.5])),
+            )
+        )
+    app_ids = sorted(archive.apps)
+    for i in range(draw(st.integers(0, 12))):
+        app_id = draw(st.sampled_from(app_ids))
+        review_id = f"r{i}{draw(TEXT)}"
+        archive.add_review(
+            Review(
+                review_id=review_id,
+                app_id=app_id,
+                author=draw(TEXT),
+                title=draw(TEXT),
+                body=draw(TEXT),
+                rating=draw(st.integers(1, 5)),
+                date=draw(DATES),
+            )
+        )
+        combined = draw(st.sampled_from(list(COMBINED_TO_SCORE)))
+        archive.set_score(app_id, review_id, score_for_combined(combined))
+    for _ in range(draw(st.integers(0, 3))):
+        version = draw(st.text(min_size=1, max_size=5).filter(lambda v: "\x00" not in v))
+        archive.add_release(
+            Release(draw(st.sampled_from(app_ids)), version, draw(DATES), draw(TEXT))
+        )
+    return archive
+
+
+@settings(max_examples=60, deadline=None)
+@given(scored_archives())
+def test_sidecar_view_equals_full_load_view(archive):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        save_archive(archive, path)
+        expected = load_archive(path).scored_view()
+        assert store._read_view(path) == expected  # the sidecar itself, no fallback
+        assert load_scored_view(path) == expected
+
+
+def _flip_rating(path: Path) -> None:
+    """Change one archive byte, keeping its length: the first review's rating."""
+    data = path.read_bytes()
+    at = data.index(b'"rating": ') + len(b'"rating": ')
+    path.write_bytes(data[:at] + (b"5" if data[at:at + 1] != b"5" else b"1") + data[at + 1:])
+
+
+def _edit_sidecar(change):
+    def edit(path: Path) -> None:
+        sidecar = view_path(path)
+        sidecar.write_text(change(sidecar.read_text(encoding="utf-8")), encoding="utf-8")
+
+    return edit
+
+
+STALE_SIDECARS = {
+    "archive byte changed": _flip_rating,
+    "sidecar truncated": _edit_sidecar(lambda text: text[: len(text) // 2]),
+    "sidecar not an object": _edit_sidecar(lambda text: "[" + text + "]"),
+    "sidecar version": _edit_sidecar(lambda text: text.replace('"version": 1', '"version": 2')),
+    "sidecar columns": _edit_sidecar(lambda text: text.replace('"rating"', '"stars"')),
+    "sidecar missing": lambda path: view_path(path).unlink(),
+}
+
+
+@pytest.mark.parametrize("stale", sorted(STALE_SIDECARS))
+def test_stale_sidecar_falls_back_to_full_load(tmp_path, monkeypatch, stale):
+    path = tmp_path / "archive.jsonl"
+    save_archive(random_archive(random.Random(5), n_reviews=30), path)
+    STALE_SIDECARS[stale](path)
+    expected = load_archive(path).scored_view()
+    loads = []
+    monkeypatch.setattr(store, "load_archive", lambda p: loads.append(p) or load_archive(p))
+    assert load_scored_view(path) == expected
+    assert loads == [path]
+
+
+def test_unscored_save_removes_sidecar_and_view_refuses(tmp_path):
+    path = tmp_path / "archive.jsonl"
+    archive = random_archive(random.Random(6), n_reviews=10)
+    save_archive(archive, path)
+    assert view_path(path).is_file()
+    archive.add_review(make_review("app0", "unscored"))
+    save_archive(archive, path)
+    assert not view_path(path).exists()
+    with pytest.raises(ArchiveError, match="1 reviews have no score; run score first"):
+        load_scored_view(path)
+
+
+def test_failed_sidecar_write_keeps_old_archive_and_leaves_no_tmp(tmp_path, monkeypatch):
+    path = tmp_path / "archive.jsonl"
+    save_archive(random_archive(random.Random(7), n_reviews=10), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing_write_view(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store, "_write_view", failing_write_view)
+    with pytest.raises(OSError, match="disk full"):
+        save_archive(random_archive(random.Random(8), n_reviews=10), path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --- release import ------------------------------------------------------------
