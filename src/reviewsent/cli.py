@@ -22,9 +22,10 @@ from typing import IO
 from . import analytics, emojis, temporal
 from .client import ClientConfig, ClientError, StoreClient
 from .combine import combine
-# score_text is unused here but stays bound: benchmarks/selftest.py asserts that
-# benchmarks/traced.py finds and wraps this binding
-from .engine import score_review, score_text  # noqa: F401
+# score_review and score_text are unused here (commands score through
+# score_reviews) but stay bound: benchmarks/selftest.py asserts that
+# benchmarks/traced.py finds and wraps these bindings
+from .engine import score_review, score_reviews, score_text  # noqa: F401
 from .lexicon import (
     Lexicon,
     LexiconError,
@@ -187,9 +188,10 @@ def cmd_score(args) -> int:
     lexicon = _load_lexicon(args)
     emoji_lexicon = _load_emoji_lexicon(args)
     archive = _load_archive(args)
-    for app_id, review_id in sorted(archive.reviews):
-        review = archive.reviews[(app_id, review_id)]
-        archive.set_score(app_id, review_id, score_review(lexicon, review, emoji_lexicon))
+    keys = sorted(archive.reviews)
+    scores = score_reviews(lexicon, [archive.reviews[key] for key in keys], emoji_lexicon)
+    for (app_id, review_id), score in zip(keys, scores):
+        archive.set_score(app_id, review_id, score)
     save_archive(archive, args.archive)
     total = len(archive.scores)
     undefined = sum(1 for s in archive.scores.values() if combine(s) is None)
@@ -228,9 +230,8 @@ def cmd_topics(args) -> int:
         rows, rejects = analytics.parse_topic_rows(stream)
     for lineno, reason in rejects:
         print(f"labeled: rejected line {lineno}: {reason}", file=sys.stderr)
-    labeled = [
-        (row.topic, combine(score_review(lexicon, row, emoji_lexicon))) for row in rows
-    ]
+    scores = score_reviews(lexicon, rows, emoji_lexicon)
+    labeled = [(row.topic, combine(score)) for row, score in zip(rows, scores)]
     stats = analytics.dispersion_by_topic(labeled)
     _write_report(args, lambda out: analytics.write_dispersion_report(stats, out))
     return 0

@@ -20,17 +20,24 @@ between them into whitespace chunks, and each chunk maps to the
 punctuation. That mapping is remembered per lexicon in a memo of at
 most ``CHUNK_MEMO_LIMIT`` chunks. ``tokenize`` and ``TokenStream`` give
 the same tokens explicitly, for inspection and debugging.
+
+``score_reviews`` scores a batch. When its text is long enough to pay
+for starting workers, it splits the batch across the CPUs the process
+may use.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import accumulate, pairwise
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .emojis import EmojiLexicon, substitute_emojis
+from .emojis import EmojiEntry, EmojiLexicon, substitute_emojis
 from .lexicon import Lexicon, emoticon_pattern
 
 if TYPE_CHECKING:
@@ -45,6 +52,25 @@ BOOSTER_WINDOW = 2
 # distinct chunks remembered per lexicon; an unbounded memo grows with
 # the vocabulary of everything scored (40 MiB for 300k chunks)
 CHUNK_MEMO_LIMIT = 1 << 14
+
+# Review text (title + body characters) each process must get before
+# ``score_reviews`` splits a batch: worker start-up times scorer
+# throughput. A spawned worker takes about 0.17 s to start and import
+# the package (0.15-0.19 s for an empty task; the benchmark's setup_s).
+# In that time the scorer reads about 0.43 M characters of long reviews
+# with rare words (2.3-2.7 M chars/s, score_long_tail) or 1.0 M of short,
+# repetitive ones (6.1 M chars/s, score_pipeline); 2-vCPU VM, Python
+# 3.11.7. The upper end keeps cheap text serial: score_pipeline (about
+# 1.45 M characters) stays in one process, score_long_tail (about
+# 3.15 M) splits in two.
+MIN_CHARS_PER_PROCESS = 1_000_000
+
+# Review text in one task of a split batch: about 25 ms of scoring at
+# 2.5 M chars/s. The pool queues one task beyond those its workers run,
+# so after its own share this process waits about two tasks at most
+# (0.02-0.11 s, median 0.05 s, over 30 runs of score_long_tail: 49
+# tasks, 2 processes, 2-vCPU VM).
+CHARS_PER_TASK = 64_000
 
 _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 _CHUNK = re.compile(r"\S+")
@@ -237,7 +263,118 @@ def score_review(
     When an emoji lexicon is given, emojis are rewritten to emoticon
     tokens before scoring.
     """
-    text = f"{review.title} {review.body}"
+    return score_text(lexicon, _review_text(review.title, review.body, emoji_lexicon))
+
+
+def _review_text(title: str, body: str, emoji_lexicon: EmojiLexicon | None) -> str:
+    text = f"{title} {body}"
     if emoji_lexicon is not None:
         text = substitute_emojis(text, emoji_lexicon)
-    return score_text(lexicon, text)
+    return text
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def score_reviews(
+    lexicon: Lexicon,
+    reviews: Sequence["Review"],
+    emoji_lexicon: EmojiLexicon | None = None,
+) -> list[SentimentScore]:
+    """``score_review`` of each review, in input order.
+
+    With more than one usable CPU and at least ``MIN_CHARS_PER_PROCESS``
+    characters of title and body per process, the reviews are cut into
+    contiguous tasks of about ``CHARS_PER_TASK`` characters. Spawned
+    workers take tasks from the end of the batch while this process
+    scores them from the start, until it reaches a task a worker has
+    taken, so each process scores as much as its speed allows. The
+    workers are gone when the call returns. A worker's exception is
+    raised here with its own type.
+    """
+    sizes = [len(review.title) + len(review.body) for review in reviews]
+    chars = sum(sizes)
+    processes = min(usable_cpus(), chars // MIN_CHARS_PER_PROCESS)
+    if processes < 2:
+        return [score_review(lexicon, review, emoji_lexicon) for review in reviews]
+
+    # imported here: a serial call should not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    tables = tuple(
+        dict(table)
+        for table in (lexicon.sentiment_terms, lexicon.boosters, lexicon.emoticons, lexicon.slang)
+    )
+    entries = None if emoji_lexicon is None else [
+        (entry.emoji, entry.occurrences, entry.polarity) for entry in emoji_lexicon.entries
+    ]
+    tasks = list(pairwise(_slice_bounds(sizes, chars // CHARS_PER_TASK)))
+    pool = ProcessPoolExecutor(
+        processes - 1,
+        # spawn, not fork: forking a process that runs threads is unsafe
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_start_worker,
+        initargs=(tables, entries),
+    )
+    try:
+        # submitted last task first: the pool hands tasks to workers in
+        # submission order, so a task this process cannot cancel any
+        # more, and every task after it, belongs to a worker
+        futures = [
+            pool.submit(_score_pairs, [(r.title, r.body) for r in reviews[lo:hi]])
+            for lo, hi in reversed(tasks)
+        ][::-1]
+        scores: list[SentimentScore] = []
+        for (lo, hi), future in zip(tasks, futures):
+            if future.cancel():
+                scores += [score_review(lexicon, r, emoji_lexicon) for r in reviews[lo:hi]]
+            else:
+                scores += [SentimentScore(p, n) for p, n in future.result()]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return scores
+
+
+def _slice_bounds(sizes: list[int], parts: int) -> list[int]:
+    """Bounds of at most ``parts`` contiguous, non-empty slices that hold
+    about equal sums of ``sizes``; ``[0, len(sizes)]`` is one slice, the
+    bounds for ``parts`` below 2."""
+    ends = list(accumulate(sizes))
+    cuts = {bisect_left(ends, ends[-1] * k / parts) + 1 for k in range(1, parts)}
+    return [0, *sorted(cuts - {len(sizes)}), len(sizes)]
+
+
+# a worker's lexicons, built once by ``_start_worker``
+_worker_lexicons: tuple[Lexicon, EmojiLexicon | None] | None = None
+
+
+def _start_worker(
+    tables: tuple[dict, dict, dict, dict],
+    emoji_entries: list[tuple[str, int, int]] | None,
+) -> None:
+    """Pool initializer of ``score_reviews``: the lexicons from plain data."""
+    global _worker_lexicons
+    _worker_lexicons = (
+        Lexicon(*tables),
+        None if emoji_entries is None else EmojiLexicon(
+            tuple(EmojiEntry(*entry) for entry in emoji_entries)
+        ),
+    )
+
+
+def _score_pairs(pairs: list[tuple[str, str]]) -> list[tuple[int, int]]:
+    """Worker side of ``score_reviews``: (positive, negative) of each
+    (title, body) pair."""
+    lexicon, emoji_lexicon = _worker_lexicons
+    scores = []
+    for title, body in pairs:
+        score = score_text(lexicon, _review_text(title, body, emoji_lexicon))
+        scores.append((score.positive, score.negative))
+    return scores

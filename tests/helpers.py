@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import multiprocessing
 import random
 import re
+import time
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
-from reviewsent import AppRecord, Archive, Review, SentimentScore
+from reviewsent import AppRecord, Archive, Review, SentimentScore, engine
 from reviewsent.emojis import SUBSTITUTIONS, EmojiLexicon
 from reviewsent.engine import BOOSTER_WINDOW, TokenKind, tokenize
 from reviewsent.lexicon import Lexicon
@@ -182,6 +184,44 @@ def unscored_text_archive(
             )
         )
     return archive
+
+
+# --- scoring across processes -------------------------------------------------
+
+
+def force_split(monkeypatch, cpus: int) -> list[str]:
+    """Make ``engine.score_reviews`` split any batch across ``cpus``
+    processes, in tasks of one review each. The returned list records
+    the start method of every pool it creates."""
+    methods: list[str] = []
+    get_context = multiprocessing.get_context
+
+    def recording(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(engine, "MIN_CHARS_PER_PROCESS", 1)
+    monkeypatch.setattr(engine, "CHARS_PER_TASK", 1)
+    return methods
+
+
+class UnformattableTitle(str):
+    """A title that ``len`` measures but an f-string cannot format, so a
+    review holding it fails only where it is scored."""
+
+    def __format__(self, spec):
+        raise LookupError(f"cannot format {str(self)!r}")
+
+
+class SlowTitle(str):
+    """A title that takes 0.2 s to format, so the review holding it keeps
+    its scorer busy for that long."""
+
+    def __format__(self, spec):
+        time.sleep(0.2)
+        return str(self)
 
 
 # --- stub store endpoint -------------------------------------------------------

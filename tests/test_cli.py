@@ -1,7 +1,9 @@
 """Command-line pipeline: wiring, determinism, and failure modes."""
 
+import multiprocessing
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 from reviewsent.cli import main
 from reviewsent.store import load_archive, save_archive
 
-from helpers import feed_item, lookup_payload, unscored_text_archive
+from helpers import feed_item, force_split, lookup_payload, unscored_text_archive
 
 
 @pytest.fixture
@@ -227,18 +229,20 @@ def test_correlate_price_all_free_fails(tmp_path, fixture_archive, capsys):
     assert "constant" in capsys.readouterr().err
 
 
+LABELED = (
+    "id,topic,title,body\n"
+    "1,BugReport,I hate this,crashes constantly\n"
+    "2,BugReport,Great app,but it is broken\n"
+    "3,FeatureRequest,Good idea,pls add dark mode\n"
+    "4,UserExperience,Love it,very good flow\n"
+    "5,Rating,Excellent,五つ星\n"
+    "6,Nonsense,skip,me\n"
+)
+
+
 def test_topics_command(tmp_path, capsys):
     labeled = tmp_path / "labeled.csv"
-    labeled.write_text(
-        "id,topic,title,body\n"
-        "1,BugReport,I hate this,crashes constantly\n"
-        "2,BugReport,Great app,but it is broken\n"
-        "3,FeatureRequest,Good idea,pls add dark mode\n"
-        "4,UserExperience,Love it,very good flow\n"
-        "5,Rating,Excellent,五つ星\n"
-        "6,Nonsense,skip,me\n",
-        encoding="utf-8",
-    )
+    labeled.write_text(LABELED, encoding="utf-8")
     report = tmp_path / "topics.csv"
     rc = run(["topics", "--labeled", labeled, "--out", report])
     captured = capsys.readouterr()
@@ -389,6 +393,35 @@ def test_bad_date_flag_fails(fixture_archive, capsys):
 def test_score_with_no_emoji_flag(tmp_path, fixture_archive):
     assert run(["score", "--archive", fixture_archive, "--no-emoji"]) == 0
     assert load_archive(fixture_archive).scores
+
+
+# --- scoring split across processes ----------------------------------------------
+
+
+def test_score_writes_identical_bytes_when_split(tmp_path, fixture_archive, capsys, monkeypatch):
+    serial = tmp_path / "serial.jsonl"
+    shutil.copy(fixture_archive, serial)
+    assert run(["score", "--archive", serial]) == 0
+    expected = capsys.readouterr()
+    pools = force_split(monkeypatch, cpus=2)
+    assert run(["score", "--archive", fixture_archive]) == 0
+    assert pools == ["spawn"]
+    assert capsys.readouterr() == expected
+    assert fixture_archive.read_bytes() == serial.read_bytes()
+    assert Path(f"{fixture_archive}.view").read_bytes() == Path(f"{serial}.view").read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_topics_writes_identical_bytes_when_split(tmp_path, capsys, monkeypatch):
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text(LABELED, encoding="utf-8")
+    assert run(["topics", "--labeled", labeled, "--out", tmp_path / "serial.csv"]) == 0
+    expected = capsys.readouterr()
+    pools = force_split(monkeypatch, cpus=2)
+    assert run(["topics", "--labeled", labeled, "--out", tmp_path / "split.csv"]) == 0
+    assert pools == ["spawn"]
+    assert capsys.readouterr() == expected
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 # --- scored-view sidecar ---------------------------------------------------------

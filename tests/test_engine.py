@@ -1,7 +1,10 @@
 """Tokenizer behavior and dual-polarity scoring."""
 
 import dataclasses
+import multiprocessing
+import os
 import random
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +15,20 @@ from reviewsent.engine import (
     SentimentScore,
     TokenKind,
     score_review,
+    score_reviews,
     score_text,
     tokenize,
 )
+from reviewsent.emojis import EmojiEntry, EmojiLexicon
 from reviewsent.lexicon import Lexicon, load_builtin_lexicon
 
-from helpers import make_review, reference_score_text
+from helpers import (
+    SlowTitle,
+    UnformattableTitle,
+    force_split,
+    make_review,
+    reference_score_text,
+)
 
 WORKED_LEXICON = Lexicon(
     sentiment_terms={"hate": -4, "great": 3, "sad": -3, "good": 3, "love": 4},
@@ -337,3 +348,90 @@ def test_lexicon_compiles_on_first_score_not_on_load():
     assert "_compiled" not in vars(lexicon)
     score_text(lexicon, "great :)")
     assert "_compiled" in vars(lexicon)
+
+
+# --- score_reviews: one batch, split across processes when it pays --------------
+
+EMOJI = EmojiLexicon((EmojiEntry("\U0001F600", 500, 1), EmojiEntry("\u2639", 500, -1)))
+
+
+def _uneven_reviews() -> list:
+    """Reviews from empty to thousands of words, emojis among them."""
+    rng = random.Random(7101)
+    reviews = []
+    for i, words in enumerate([0, 1, 2500, 3, 0, 40, 1200, 1, 7, 300, 0, 2]):
+        text = " ".join(rng.choice(PIECES + ["\u2639"]) for _ in range(words))
+        reviews.append(make_review("app1", f"r{i}", title=text[:25], body=text[25:]))
+    return reviews
+
+
+def test_split_scores_equal_serial_scores_on_uneven_reviews(monkeypatch):
+    reviews = _uneven_reviews()
+    serial = [score_review(PROPERTY_LEXICON, review, EMOJI) for review in reviews]
+    pools = force_split(monkeypatch, cpus=3)
+    assert score_reviews(PROPERTY_LEXICON, reviews, EMOJI) == serial
+    assert pools == ["spawn"]
+    assert multiprocessing.active_children() == []
+
+
+def _no_pool(method=None):
+    raise AssertionError("score_reviews created a pool")
+
+
+@pytest.mark.parametrize("cpus, extra_chars", [(1, 0), (4, 1)], ids=["one_cpu", "short_text"])
+def test_no_pool_on_one_cpu_or_below_the_threshold(monkeypatch, cpus, extra_chars):
+    reviews = _uneven_reviews()
+    chars = sum(len(review.title) + len(review.body) for review in reviews)
+    # one character short of two processes' worth of text, or one CPU
+    monkeypatch.setattr(engine, "MIN_CHARS_PER_PROCESS", chars // 2 + extra_chars or 1)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+    expected = [score_review(PROPERTY_LEXICON, review, None) for review in reviews]
+    assert score_reviews(PROPERTY_LEXICON, reviews) == expected
+
+
+@pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "this_process"])
+def test_scoring_error_reaches_caller_with_its_type(monkeypatch, in_worker):
+    bad = make_review("app1", "bad", title=UnformattableTitle("bad"), body="x")
+    middle = make_review("app1", "middle", body="sad " * 3000)
+    # workers take tasks from the end; the slow title keeps this process
+    # on the first task until a worker has taken the last two
+    slow = make_review("app1", "slow", title=SlowTitle("slow"), body="x")
+    reviews = [slow, middle, bad] if in_worker else [bad, middle, slow]
+    pools = force_split(monkeypatch, cpus=2)
+    with pytest.raises(LookupError, match="cannot format 'bad'") as raised:
+        score_reviews(PROPERTY_LEXICON, reviews)
+    # the pool chains a worker's exception to the worker's traceback
+    assert ("_score_pairs" in str(raised.value.__cause__)) == in_worker
+    assert pools == ["spawn"]
+    assert multiprocessing.active_children() == []
+
+
+def test_usable_cpus_follows_affinity_else_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert engine.usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert engine.usable_cpus() == os.cpu_count()
+
+
+@given(
+    st.lists(st.integers(0, 60), min_size=1, max_size=30).filter(any), st.integers(2, 5)
+)
+def test_slice_bounds_split_text_evenly_into_non_empty_slices(sizes, parts):
+    bounds = engine._slice_bounds(sizes, parts)
+    assert bounds[0] == 0 and bounds[-1] == len(sizes)
+    assert all(lo < hi for lo, hi in pairwise(bounds))
+    assert len(bounds) - 1 <= parts
+    shares = [sum(sizes) * k / parts for k in range(1, parts)]
+    for cut in bounds[1:-1]:
+        # a slice ends at the first review that reaches a share of the text
+        assert any(sum(sizes[: cut - 1]) < share <= sum(sizes[:cut]) for share in shares)
+
+
+def test_slice_bounds_examples():
+    assert engine._slice_bounds([1] * 10, 2) == [0, 5, 10]
+    assert engine._slice_bounds([1] * 10, 3) == [0, 4, 7, 10]
+    assert engine._slice_bounds([1, 100, 1], 2) == [0, 2, 3]
+    assert engine._slice_bounds([1, 100], 2) == [0, 2]  # one slice: scored here
+    assert engine._slice_bounds([3, 4], 1) == [0, 2]
+    assert engine._slice_bounds([], 0) == [0, 0]
