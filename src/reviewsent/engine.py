@@ -41,6 +41,8 @@ from .emojis import EmojiEntry, EmojiLexicon, substitute_emojis
 from .lexicon import Lexicon, emoticon_pattern
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
     from .store import Review
 
 POSITIVE_RANGE = (1, 5)
@@ -296,7 +298,9 @@ def score_reviews(
     scores them from the start, until it reaches a task a worker has
     taken, so each process scores as much as its speed allows. The
     workers are gone when the call returns. A worker's exception is
-    raised here with its own type.
+    raised here with its own type; a worker that ends abruptly (killed,
+    out of memory, or failed to start) raises ``ChildProcessError``
+    within about one task.
     """
     sizes = [len(review.title) + len(review.body) for review in reviews]
     chars = sum(sizes)
@@ -307,6 +311,7 @@ def score_reviews(
     # imported here: a serial call should not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     tables = tuple(
         dict(table)
@@ -316,30 +321,60 @@ def score_reviews(
         (entry.emoji, entry.occurrences, entry.polarity) for entry in emoji_lexicon.entries
     ]
     tasks = list(pairwise(_slice_bounds(sizes, chars // CHARS_PER_TASK)))
+    # spawn, not fork: forking a process that runs threads is unsafe
+    context = multiprocessing.get_context("spawn")
+    # Each task goes to whichever process claims it first. Claims, not
+    # Future.cancel(): when a worker dies, the pool fails every pending
+    # future, and on a cancelled one that kills the pool's manager thread
+    # (InvalidStateError), so the other futures never resolve.
+    claimed = context.Array("b", len(tasks))
     pool = ProcessPoolExecutor(
         processes - 1,
-        # spawn, not fork: forking a process that runs threads is unsafe
-        mp_context=multiprocessing.get_context("spawn"),
+        mp_context=context,
         initializer=_start_worker,
-        initargs=(tables, entries),
+        initargs=(tables, entries, claimed),
     )
     try:
         # submitted last task first: the pool hands tasks to workers in
-        # submission order, so a task this process cannot cancel any
-        # more, and every task after it, belongs to a worker
+        # submission order
         futures = [
-            pool.submit(_score_pairs, [(r.title, r.body) for r in reviews[lo:hi]])
-            for lo, hi in reversed(tasks)
+            pool.submit(_score_pairs, index, [(r.title, r.body) for r in reviews[lo:hi]])
+            for index, (lo, hi) in reversed(list(enumerate(tasks)))
         ][::-1]
         scores: list[SentimentScore] = []
-        for (lo, hi), future in zip(tasks, futures):
-            if future.cancel():
-                scores += [score_review(lexicon, r, emoji_lexicon) for r in reviews[lo:hi]]
-            else:
+        for index, ((lo, hi), future) in enumerate(zip(tasks, futures)):
+            # a running future is queued to a worker; a done one holds a
+            # worker's result or, when the pool broke, its error
+            if future.running() or future.done() or not _claim(claimed, index, future):
                 scores += [SentimentScore(p, n) for p, n in future.result()]
+            else:
+                scores += [score_review(lexicon, r, emoji_lexicon) for r in reviews[lo:hi]]
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(
+            "a scoring worker process ended abruptly (killed, out of memory, or failed"
+            " to start); no score was kept"
+        ) from exc
     finally:
         pool.shutdown(cancel_futures=True)
     return scores
+
+
+def _claim(claimed, index: int, future: Future | None = None) -> bool:
+    """Claim task ``index`` of ``score_reviews``: True unless another
+    process has claimed it or ``future``, the task's, is done."""
+    lock = claimed.get_lock()
+    # a worker killed while it holds the lock never releases it, so the
+    # caller waits in steps until the broken pool fails ``future``
+    while not lock.acquire(timeout=0.1):
+        if future is not None and future.done():
+            return False
+    try:
+        if claimed[index]:
+            return False
+        claimed[index] = 1
+        return True
+    finally:
+        lock.release()
 
 
 def _slice_bounds(sizes: list[int], parts: int) -> list[int]:
@@ -351,28 +386,34 @@ def _slice_bounds(sizes: list[int], parts: int) -> list[int]:
     return [0, *sorted(cuts - {len(sizes)}), len(sizes)]
 
 
-# a worker's lexicons, built once by ``_start_worker``
-_worker_lexicons: tuple[Lexicon, EmojiLexicon | None] | None = None
+# a worker's lexicons and the task claims, set once by ``_start_worker``
+_worker_state: tuple[Lexicon, EmojiLexicon | None, object] | None = None
 
 
 def _start_worker(
     tables: tuple[dict, dict, dict, dict],
     emoji_entries: list[tuple[str, int, int]] | None,
+    claimed,
 ) -> None:
-    """Pool initializer of ``score_reviews``: the lexicons from plain data."""
-    global _worker_lexicons
-    _worker_lexicons = (
+    """Pool initializer of ``score_reviews``: the lexicons from plain
+    data, and the shared claims."""
+    global _worker_state
+    _worker_state = (
         Lexicon(*tables),
         None if emoji_entries is None else EmojiLexicon(
             tuple(EmojiEntry(*entry) for entry in emoji_entries)
         ),
+        claimed,
     )
 
 
-def _score_pairs(pairs: list[tuple[str, str]]) -> list[tuple[int, int]]:
+def _score_pairs(index: int, pairs: list[tuple[str, str]]) -> list[tuple[int, int]] | None:
     """Worker side of ``score_reviews``: (positive, negative) of each
-    (title, body) pair."""
-    lexicon, emoji_lexicon = _worker_lexicons
+    (title, body) pair of task ``index``, or None when the calling
+    process has claimed that task."""
+    lexicon, emoji_lexicon, claimed = _worker_state
+    if not _claim(claimed, index):
+        return None
     scores = []
     for title, body in pairs:
         score = score_text(lexicon, _review_text(title, body, emoji_lexicon))

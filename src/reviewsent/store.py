@@ -22,6 +22,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple
 
@@ -182,29 +183,35 @@ class Archive:
         Raises when any review is unscored or names an app that is not
         in the archive, so no report runs on a partial table.
         """
-        unscored = len(self.reviews.keys() - self.scores.keys())
-        if unscored:
+        reviews, scores = self.reviews, self.scores
+        if not scores.keys() >= reviews.keys():
+            unscored = len(reviews.keys() - scores.keys())
             raise ArchiveError(f"{unscored} reviews have no score; run score first")
-        missing_apps = {r.app_id for r in self.reviews.values()} - self.apps.keys()
-        if missing_apps:
-            raise ArchiveError(f"reviews reference unknown apps: {sorted(missing_apps)}")
+        # an app's columns once per app, and combine once per score object:
+        # a loaded archive shares one object per distinct score
+        app_columns = {
+            app_id: (app.app_id, app.primary_category, app.is_free, app.price)
+            for app_id, app in self.apps.items()
+        }
+        distinct = {id(score): score for score in scores.values()}
+        combined = {at: combine(score) for at, score in distinct.items()}
         rows: list[ScoredRow] = []
-        for key in sorted(self.reviews):
-            review = self.reviews[key]
-            app = self.apps[review.app_id]
-            # positional: keyword arguments make building the view ~1.6x slower
-            rows.append(
-                ScoredRow(
-                    app.app_id,
-                    app.primary_category,
-                    app.is_free,
-                    app.price,
-                    review.rating,
-                    review.date,
-                    combine(self.scores[key]),
-                    review.text_length,
+        try:
+            for key in sorted(reviews):
+                review = reviews[key]
+                # positional: keyword arguments make building the view ~1.6x slower
+                rows.append(
+                    ScoredRow(
+                        *app_columns[review.app_id],
+                        review.rating,
+                        review.date,
+                        combined[id(scores[key])],
+                        review.text_length,
+                    )
                 )
-            )
+        except KeyError:  # scores cover every review, so an app is missing
+            missing_apps = {r.app_id for r in reviews.values()} - self.apps.keys()
+            raise ArchiveError(f"reviews reference unknown apps: {sorted(missing_apps)}") from None
         return rows
 
     def scored_view(self) -> ScoredView:
@@ -240,13 +247,14 @@ def _entity_to_json(kind: str, entity, **extra) -> dict:
 
 
 def _app_record_from_json(obj: dict) -> AppRecord:
+    # positional here and below: keyword arguments make loading slower
     app = AppRecord(
-        app_id=str(obj["app_id"]),
-        name=str(obj["name"]),
-        primary_category=str(obj["primary_category"]),
-        price=float(obj["price"]),
-        current_version=str(obj["current_version"]),
-        raw_details=obj.get("raw_details", {}),
+        str(obj["app_id"]),
+        str(obj["name"]),
+        str(obj["primary_category"]),
+        float(obj["price"]),
+        str(obj["current_version"]),
+        obj.get("raw_details", {}),
     )
     if bool(obj.get("is_free", app.is_free)) != app.is_free:
         raise ArchiveError(f"app {app.app_id}: is_free contradicts price {app.price}")
@@ -255,26 +263,36 @@ def _app_record_from_json(obj: dict) -> AppRecord:
 
 def _review_from_json(obj: dict) -> Review:
     return Review(
-        review_id=str(obj["review_id"]),
-        app_id=str(obj["app_id"]),
-        author=str(obj["author"]),
-        title=str(obj["title"]),
-        body=str(obj["body"]),
-        rating=int(obj["rating"]),
-        date=dt.date.fromisoformat(obj["date"]),
-        helpful_votes=int(obj.get("helpful_votes", 0)),
-        app_version=str(obj.get("app_version", "")),
-        raw=obj.get("raw", {}),
+        str(obj["review_id"]),
+        str(obj["app_id"]),
+        str(obj["author"]),
+        str(obj["title"]),
+        str(obj["body"]),
+        int(obj["rating"]),
+        dt.date.fromisoformat(obj["date"]),
+        int(obj.get("helpful_votes", 0)),
+        str(obj.get("app_version", "")),
+        obj.get("raw", {}),
     )
 
 
 def _release_from_json(obj: dict) -> Release:
     return Release(
-        app_id=str(obj["app_id"]),
-        version=str(obj["version"]),
-        date=dt.date.fromisoformat(obj["date"]),
-        notes=str(obj.get("notes", "")),
+        str(obj["app_id"]),
+        str(obj["version"]),
+        dt.date.fromisoformat(obj["date"]),
+        str(obj.get("notes", "")),
     )
+
+
+def _score_from_json(obj: dict) -> SentimentScore:
+    """The dual score of a score line, checked against its stored combined value."""
+    score = SentimentScore(int(obj["positive"]), int(obj["negative"]))
+    if parse_combined(str(obj["combined"])) != combine(score):
+        raise ArchiveError(
+            f"combined {obj['combined']!r} does not match ({score.positive}, {score.negative})"
+        )
+    return score
 
 
 @contextmanager
@@ -360,84 +378,136 @@ def load_archive(path: str | Path) -> Archive:
     """Load an archive, skipping corrupt lines.
 
     Skipped lines are reported in ``archive.load_skips`` as
-    (line number, reason) pairs. Score lines are validated against the
-    combined-sentiment rule before being accepted. When a key repeats,
-    the last accepted line wins and each line it supersedes is reported.
+    (line number, reason) pairs; a line that is not UTF-8 is one of
+    them. Score lines are validated against the combined-sentiment rule
+    before being accepted. When a key repeats, the last accepted line
+    wins and each line it supersedes is reported.
     """
     archive = Archive()
-    pending_scores: list[tuple[int, dict]] = []
+    with open(path, "rb") as stream:
+        _read_archive(stream, archive)
+    if archive.load_skips:
+        log.warning("archive %s: skipped %d corrupt lines", path, len(archive.load_skips))
+    return archive
+
+
+def _text_lines(data: bytes) -> list[bytes]:
+    """The lines that text mode reads from ``data``, a line of a binary
+    stream that holds a ``\\r``: ``\\r\\n`` and a lone ``\\r`` end a
+    line too, and read as ``\\n``."""
+    return [
+        line.rstrip(b"\r\n") + b"\n" if line.endswith((b"\r", b"\n")) else line
+        for line in data.splitlines(keepends=True)
+    ]
+
+
+def _read_archive(stream: IO[bytes], archive: Archive) -> None:
+    """``load_archive`` of a binary archive stream, into ``archive``."""
     tables = {
         "app": archive.apps,
         "review": archive.reviews,
         "release": archive.releases,
         "score": archive.scores,
     }
+    skips = archive.load_skips
     # the line of each key's accepted entity, in its table's key order: a
     # key -> line dict raised the peak RSS of a report loading 12k reviews
     # by ~2.5 MiB, and repeats are rare, so keys are mapped to positions
     # only on a kind's first repeat
-    lines: dict[str, list[int]] = {kind: [] for kind in tables}
+    lines_of: dict[str, list[int]] = {kind: [] for kind in tables}
     positions: dict[str, dict[object, int]] = {}
 
     def accept(kind: str, key: object, lineno: int) -> None:
-        table, kind_lines = tables[kind], lines[kind]
+        """Bookkeeping of an accepted line: a new key that the table
+        appended last while the kind has no repeat is done inline."""
+        table, kind_lines = tables[kind], lines_of[kind]
         if len(table) > len(kind_lines):  # a new key, which the table appended last
             kind_lines.append(lineno)
-            if kind in positions:
-                positions[kind][key] = len(kind_lines) - 1
+            positions[kind][key] = len(kind_lines) - 1
             return
         if kind not in positions:
             positions[kind] = {k: i for i, k in enumerate(table)}
         at = positions[kind][key]
-        archive.load_skips.append(
-            (kind_lines[at], f"duplicate {kind} key {key!r}, superseded by line {lineno}")
-        )
+        skips.append((kind_lines[at], f"duplicate {kind} key {key!r}, superseded by line {lineno}"))
         kind_lines[at] = lineno
 
-    with open(path, encoding="utf-8") as stream:
-        for lineno, raw in enumerate(stream, start=1):
-            if not raw.strip():
-                continue
+    scan = json.JSONDecoder().scan_once
+    pending_scores: list[tuple[int, dict]] = []
+    lineno = 0
+    # binary, so that a line that is not UTF-8 is skipped like any other
+    # corrupt line; a binary stream ends lines at b"\n" only
+    for line in chain.from_iterable(
+        _text_lines(data) if b"\r" in data else (data,) for data in stream
+    ):
+        lineno += 1
+        try:
+            raw = line.decode("utf-8")
             try:
+                obj, end = scan(raw, 0)
+            except (StopIteration, ValueError):
+                end = None
+            # anything but one value up to the newline (blank lines, white
+            # space, CRLF, a BOM, trailing text, errors) takes the slow path
+            if end is None or raw[end:] != "\n":
+                if not raw.strip():
+                    continue
                 obj = json.loads(raw)
-                if not isinstance(obj, dict):
-                    raise ArchiveError("expected a JSON object")
-                kind = obj.get("kind")
-                if kind == "app":
-                    app = _app_record_from_json(obj)
-                    archive.add_app(app)
-                    accept(kind, app.app_id, lineno)
-                elif kind == "review":
-                    review = _review_from_json(obj)
-                    archive.add_review(review)
-                    accept(kind, (review.app_id, review.review_id), lineno)
-                elif kind == "release":
-                    release = _release_from_json(obj)
-                    archive.add_release(release)
-                    accept(kind, (release.app_id, release.version), lineno)
-                elif kind == "score":
-                    pending_scores.append((lineno, obj))
-                else:
-                    raise ArchiveError(f"unknown kind {kind!r}")
-            except (ArchiveError, KeyError, TypeError, ValueError) as exc:
-                archive.load_skips.append((lineno, str(exc) or repr(exc)))
+            if not isinstance(obj, dict):
+                raise ArchiveError("expected a JSON object")
+            kind = obj.get("kind")
+            if kind == "review":
+                entity = _review_from_json(obj)
+                key = (entity.app_id, entity.review_id)
+            elif kind == "score":
+                pending_scores.append((lineno, obj))
+                continue
+            elif kind == "app":
+                entity = _app_record_from_json(obj)
+                key = entity.app_id
+            elif kind == "release":
+                entity = _release_from_json(obj)
+                key = (entity.app_id, entity.version)
+            else:
+                raise ArchiveError(f"unknown kind {kind!r}")
+            table = tables[kind]
+            table[key] = entity
+            if len(table) > len(lines_of[kind]) and kind not in positions:
+                lines_of[kind].append(lineno)
+            else:
+                accept(kind, key, lineno)
+        except UnicodeDecodeError as exc:
+            skips.append((lineno, f"invalid UTF-8 at byte {exc.start}: {exc.reason}"))
+        except (ArchiveError, KeyError, TypeError, ValueError) as exc:
+            skips.append((lineno, str(exc) or repr(exc)))
+
+    # each distinct (positive, negative, combined) is checked once; its
+    # score is shared, which a frozen dataclass allows. Exact types only:
+    # True == 1 and hashes alike, but str(True) != str(1).
+    checked: dict[tuple[int, int, str], SentimentScore] = {}
     for lineno, obj in pending_scores:
         try:
-            score = SentimentScore(int(obj["positive"]), int(obj["negative"]))
-            stored_combined = parse_combined(str(obj["combined"]))
-            if stored_combined != combine(score):
-                raise ArchiveError(
-                    f"combined {obj['combined']!r} does not match "
-                    f"({score.positive}, {score.negative})"
-                )
-            key = (str(obj["app_id"]), str(obj["review_id"]))
+            positive, negative = obj.get("positive"), obj.get("negative")
+            combined = obj.get("combined")
+            app_id, review_id = obj.get("app_id"), obj.get("review_id")
+            if (
+                type(positive) is type(negative) is int
+                and type(combined) is type(app_id) is type(review_id) is str
+            ):
+                triple = (positive, negative, combined)
+                score = checked.get(triple)
+                if score is None:
+                    score = checked[triple] = _score_from_json(obj)
+                key = (app_id, review_id)
+            else:
+                score = _score_from_json(obj)
+                key = (str(obj["app_id"]), str(obj["review_id"]))
             archive.set_score(*key, score)
-            accept("score", key, lineno)
+            if len(archive.scores) > len(lines_of["score"]) and "score" not in positions:
+                lines_of["score"].append(lineno)
+            else:
+                accept("score", key, lineno)
         except (ArchiveError, KeyError, TypeError, ValueError) as exc:
-            archive.load_skips.append((lineno, str(exc) or repr(exc)))
-    if archive.load_skips:
-        log.warning("archive %s: skipped %d corrupt lines", path, len(archive.load_skips))
-    return archive
+            skips.append((lineno, str(exc) or repr(exc)))
 
 
 # --- scored-view sidecar ---------------------------------------------------

@@ -1,22 +1,30 @@
 """Shared builders for archive-based tests, the stub store endpoint, and
-the reference scorer and emoji substitution that the fast paths in
-``reviewsent`` are checked against."""
+the reference scorer, emoji substitution and archive loader that the
+fast paths in ``reviewsent`` are checked against."""
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import logging
 import multiprocessing
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
 import time
 from http.server import BaseHTTPRequestHandler
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from reviewsent import AppRecord, Archive, Review, SentimentScore, engine
+from reviewsent.combine import combine, parse_combined
 from reviewsent.emojis import SUBSTITUTIONS, EmojiLexicon
 from reviewsent.engine import BOOSTER_WINDOW, TokenKind, tokenize
 from reviewsent.lexicon import Lexicon
+from reviewsent.store import ArchiveError, Release, ScoredRow
 
 # A dual score whose combined sentiment is the given value. Note that
 # +1 and -1 are unreachable: p + n > 0 forces p >= 2, symmetrically for n.
@@ -224,6 +232,48 @@ class SlowTitle(str):
         return str(self)
 
 
+class KillingTitle(str):
+    """A title that SIGKILLs the worker process that formats it, as the
+    OOM killer would. In the calling process it takes 0.1 s to format, so
+    a worker starts before the caller has scored every review."""
+
+    def __format__(self, spec):
+        if multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.1)
+        return str(self)
+
+
+def kill_worker(*args):
+    """Stands in for ``engine._score_pairs``: the worker dies on its first task."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def die_holding_claims(*args):
+    """Stands in for ``engine._score_pairs``: the worker takes the lock of
+    the task claims, holds it for 0.5 s, long enough for the caller to
+    wait on it, and dies still holding it."""
+    engine._worker_state[2].get_lock().acquire()
+    time.sleep(0.5)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def run_python(script: str, *args, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports ``reviewsent``
+    from ``src`` and these helpers. A run past ``timeout`` seconds raises
+    ``subprocess.TimeoutExpired``, so a hang fails the test instead of
+    blocking it."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 # --- stub store endpoint -------------------------------------------------------
 
 REVIEWS_PATH = re.compile(r"^/apps/([^/]+)/reviews$")
@@ -385,3 +435,150 @@ def reference_substitute_emojis(text: str, lexicon: EmojiLexicon) -> str:
         pos = match.end()
     pieces.append(text[pos:])
     return "".join(pieces)
+
+
+# --- reference archive loader --------------------------------------------------
+
+
+def _reference_app(obj: dict) -> AppRecord:
+    app = AppRecord(
+        app_id=str(obj["app_id"]),
+        name=str(obj["name"]),
+        primary_category=str(obj["primary_category"]),
+        price=float(obj["price"]),
+        current_version=str(obj["current_version"]),
+        raw_details=obj.get("raw_details", {}),
+    )
+    if bool(obj.get("is_free", app.is_free)) != app.is_free:
+        raise ArchiveError(f"app {app.app_id}: is_free contradicts price {app.price}")
+    return app
+
+
+def _reference_review(obj: dict) -> Review:
+    return Review(
+        review_id=str(obj["review_id"]),
+        app_id=str(obj["app_id"]),
+        author=str(obj["author"]),
+        title=str(obj["title"]),
+        body=str(obj["body"]),
+        rating=int(obj["rating"]),
+        date=dt.date.fromisoformat(obj["date"]),
+        helpful_votes=int(obj.get("helpful_votes", 0)),
+        app_version=str(obj.get("app_version", "")),
+        raw=obj.get("raw", {}),
+    )
+
+
+def _reference_release(obj: dict) -> Release:
+    return Release(
+        app_id=str(obj["app_id"]),
+        version=str(obj["version"]),
+        date=dt.date.fromisoformat(obj["date"]),
+        notes=str(obj.get("notes", "")),
+    )
+
+
+def reference_load_archive(path) -> Archive:
+    """``store.load_archive`` as one plain loop: text mode, ``json.loads``
+    and keyword construction on every line, every score line checked on
+    its own, and one bookkeeping call per accepted line. It raises on a
+    line that is not UTF-8, which the fast loader skips."""
+    archive = Archive()
+    pending_scores: list[tuple[int, dict]] = []
+    tables = {
+        "app": archive.apps,
+        "review": archive.reviews,
+        "release": archive.releases,
+        "score": archive.scores,
+    }
+    lines: dict[str, list[int]] = {kind: [] for kind in tables}
+    positions: dict[str, dict[object, int]] = {}
+
+    def accept(kind: str, key: object, lineno: int) -> None:
+        table, kind_lines = tables[kind], lines[kind]
+        if len(table) > len(kind_lines):  # a new key, which the table appended last
+            kind_lines.append(lineno)
+            if kind in positions:
+                positions[kind][key] = len(kind_lines) - 1
+            return
+        if kind not in positions:
+            positions[kind] = {k: i for i, k in enumerate(table)}
+        at = positions[kind][key]
+        archive.load_skips.append(
+            (kind_lines[at], f"duplicate {kind} key {key!r}, superseded by line {lineno}")
+        )
+        kind_lines[at] = lineno
+
+    with open(path, encoding="utf-8") as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+                if not isinstance(obj, dict):
+                    raise ArchiveError("expected a JSON object")
+                kind = obj.get("kind")
+                if kind == "app":
+                    app = _reference_app(obj)
+                    archive.add_app(app)
+                    accept(kind, app.app_id, lineno)
+                elif kind == "review":
+                    review = _reference_review(obj)
+                    archive.add_review(review)
+                    accept(kind, (review.app_id, review.review_id), lineno)
+                elif kind == "release":
+                    release = _reference_release(obj)
+                    archive.add_release(release)
+                    accept(kind, (release.app_id, release.version), lineno)
+                elif kind == "score":
+                    pending_scores.append((lineno, obj))
+                else:
+                    raise ArchiveError(f"unknown kind {kind!r}")
+            except (ArchiveError, KeyError, TypeError, ValueError) as exc:
+                archive.load_skips.append((lineno, str(exc) or repr(exc)))
+    for lineno, obj in pending_scores:
+        try:
+            score = SentimentScore(int(obj["positive"]), int(obj["negative"]))
+            stored_combined = parse_combined(str(obj["combined"]))
+            if stored_combined != combine(score):
+                raise ArchiveError(
+                    f"combined {obj['combined']!r} does not match "
+                    f"({score.positive}, {score.negative})"
+                )
+            key = (str(obj["app_id"]), str(obj["review_id"]))
+            archive.set_score(*key, score)
+            accept("score", key, lineno)
+        except (ArchiveError, KeyError, TypeError, ValueError) as exc:
+            archive.load_skips.append((lineno, str(exc) or repr(exc)))
+    if archive.load_skips:
+        logging.getLogger("reviewsent.store").warning(
+            "archive %s: skipped %d corrupt lines", path, len(archive.load_skips)
+        )
+    return archive
+
+
+def reference_scored_rows(archive: Archive) -> list[ScoredRow]:
+    """``Archive.scored_rows`` with every check and lookup spelled out per row."""
+    unscored = len(archive.reviews.keys() - archive.scores.keys())
+    if unscored:
+        raise ArchiveError(f"{unscored} reviews have no score; run score first")
+    missing_apps = {r.app_id for r in archive.reviews.values()} - archive.apps.keys()
+    if missing_apps:
+        raise ArchiveError(f"reviews reference unknown apps: {sorted(missing_apps)}")
+    rows = []
+    for key in sorted(archive.reviews):
+        review = archive.reviews[key]
+        app = archive.apps[review.app_id]
+        rows.append(
+            ScoredRow(
+                app_id=app.app_id,
+                category=app.primary_category,
+                is_free=app.is_free,
+                price=app.price,
+                rating=review.rating,
+                date=review.date,
+                combined=combine(archive.scores[key]),
+                text_length=review.text_length,
+            )
+        )
+    return rows

@@ -13,7 +13,13 @@ import pytest
 from reviewsent.cli import main
 from reviewsent.store import load_archive, save_archive
 
-from helpers import feed_item, force_split, lookup_payload, unscored_text_archive
+from helpers import (
+    feed_item,
+    force_split,
+    lookup_payload,
+    run_python,
+    unscored_text_archive,
+)
 
 
 @pytest.fixture
@@ -422,6 +428,56 @@ def test_topics_writes_identical_bytes_when_split(tmp_path, capsys, monkeypatch)
     assert pools == ["spawn"]
     assert capsys.readouterr() == expected
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+DYING_WORKER_CLI_SCRIPT = """
+import multiprocessing
+import sys
+import time
+
+from helpers import kill_worker
+from reviewsent import cli, engine
+
+engine.usable_cpus = lambda: 2
+engine.MIN_CHARS_PER_PROCESS = engine.CHARS_PER_TASK = 1
+engine._score_pairs = kill_worker
+score_review = engine.score_review
+
+
+def slow_score_review(*args):
+    time.sleep(0.1)  # keeps this process busy until a worker has started
+    return score_review(*args)
+
+
+engine.score_review = slow_score_review
+code = cli.main(sys.argv[1:])
+print(f"exit {code}, children left: {len(multiprocessing.active_children())}")
+"""
+
+
+@pytest.mark.parametrize("command", ["score", "topics"])
+def test_dead_worker_fails_the_command_and_changes_nothing(tmp_path, fixture_archive, command):
+    assert run(["score", "--archive", fixture_archive]) == 0
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text(
+        "id,topic,title,body\n" + "".join(f"{i},Rating,Good,fine app\n" for i in range(40)),
+        encoding="utf-8",
+    )
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = {
+        "score": ["score", "--archive", fixture_archive],
+        "topics": ["topics", "--labeled", labeled, "--out", tmp_path / "topics.csv"],
+    }[command]
+    # in a child interpreter, so that a hang fails the test as a timeout
+    result = run_python(DYING_WORKER_CLI_SCRIPT, *argv, timeout=60)
+    assert result.stdout == "exit 1, children left: 0\n"
+    assert result.stderr.splitlines()[-1:] == [
+        "error: a scoring worker process ended abruptly (killed, out of memory, or failed to"
+        " start); no score was kept"
+    ]
+    assert result.stderr.count("error:") == 1 and "Traceback" not in result.stderr
+    # archive and sidecar unchanged; no report, lock or .tmp file
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 # --- scored-view sidecar ---------------------------------------------------------

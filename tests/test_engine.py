@@ -28,6 +28,7 @@ from helpers import (
     force_split,
     make_review,
     reference_score_text,
+    run_python,
 )
 
 WORKED_LEXICON = Lexicon(
@@ -405,6 +406,75 @@ def test_scoring_error_reaches_caller_with_its_type(monkeypatch, in_worker):
     assert ("_score_pairs" in str(raised.value.__cause__)) == in_worker
     assert pools == ["spawn"]
     assert multiprocessing.active_children() == []
+
+
+WORKER_ENDED = (
+    "a scoring worker process ended abruptly (killed, out of memory, or failed to start);"
+    " no score was kept"
+)
+DYING_WORKER_SCRIPT = """
+import multiprocessing
+
+from helpers import KillingTitle, make_review
+from reviewsent import engine
+from reviewsent.lexicon import load_builtin_lexicon
+
+engine.usable_cpus = lambda: 2
+engine.MIN_CHARS_PER_PROCESS = 1
+# one task per review, which holds more than a pipe's buffer
+engine.CHARS_PER_TASK = 100_000
+reviews = [
+    make_review("app1", f"r{i:02d}", title=KillingTitle("t"), body="good " * 20_000)
+    for i in range(40)
+]
+try:
+    engine.score_reviews(load_builtin_lexicon(), reviews)
+except ChildProcessError as exc:
+    print(f"{exc}; children left: {len(multiprocessing.active_children())}")
+"""
+
+
+def test_dead_worker_raises_instead_of_hanging():
+    # in a child interpreter, so that a hang fails the test as a timeout
+    result = run_python(DYING_WORKER_SCRIPT, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == WORKER_ENDED + "; children left: 0\n"
+
+
+DIE_HOLDING_CLAIMS_SCRIPT = """
+import multiprocessing
+import time
+
+from helpers import die_holding_claims, make_review
+from reviewsent import engine
+from reviewsent.lexicon import load_builtin_lexicon
+
+engine.usable_cpus = lambda: 2
+engine.MIN_CHARS_PER_PROCESS = engine.CHARS_PER_TASK = 1
+engine._score_pairs = die_holding_claims
+score_review = engine.score_review
+
+
+def slow_score_review(*args):
+    time.sleep(0.1)  # keeps this process claiming tasks until a worker has started
+    return score_review(*args)
+
+
+engine.score_review = slow_score_review
+reviews = [make_review("app1", f"r{i:03d}") for i in range(100)]
+try:
+    engine.score_reviews(load_builtin_lexicon(), reviews)
+except ChildProcessError as exc:
+    print(f"{exc}; children left: {len(multiprocessing.active_children())}")
+"""
+
+
+def test_worker_dead_while_holding_claims_raises_instead_of_hanging():
+    # the lock of the task claims stays held; in a child interpreter, so
+    # that a hang fails the test as a timeout
+    result = run_python(DIE_HOLDING_CLAIMS_SCRIPT, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == WORKER_ENDED + "; children left: 0\n"
 
 
 def test_usable_cpus_follows_affinity_else_cpu_count(monkeypatch):

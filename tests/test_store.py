@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import io
 import json
+import logging
 import random
 import tempfile
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewsent import store
-from reviewsent.combine import combine
+from reviewsent.combine import combine, format_combined
 from reviewsent.engine import SentimentScore
 from reviewsent.store import (
     AppRecord,
@@ -36,6 +37,8 @@ from helpers import (
     make_app,
     make_review,
     random_archive,
+    reference_load_archive,
+    reference_scored_rows,
     score_for_combined,
 )
 
@@ -108,7 +111,11 @@ def test_scored_rows_refuse_unscored_review_and_unknown_app():
     archive.set_score("app1", "r1", SentimentScore(2, -1))
     with pytest.raises(ArchiveError, match="1 reviews have no score; run score first"):
         archive.scored_rows()
+    archive.scores[("app1", "gone")] = SentimentScore(2, -1)  # as many scores as reviews
+    with pytest.raises(ArchiveError, match="1 reviews have no score; run score first"):
+        archive.scored_rows()
 
+    del archive.scores[("app1", "gone")]
     archive.set_score("app1", "r2", SentimentScore(2, -1))
     archive.add_review(make_review("ghost", "r3"))
     archive.set_score("ghost", "r3", SentimentScore(2, -1))
@@ -201,16 +208,26 @@ def test_corrupt_lines_skipped_with_report(tmp_path):
     archive.add_review(make_review("app1", "r1"))
     path = tmp_path / "archive.jsonl"
     save_archive(archive, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines.insert(1, "{not json")
-    lines.append(json.dumps({"kind": "mystery"}))
-    lines.append(json.dumps({"kind": "review", "review_id": "bad"}))  # missing fields
-    lines.extend(["[1, 2]", "null"])  # valid JSON, but not objects
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    app, review = path.read_bytes().splitlines()
+    path.write_bytes(
+        b"".join(
+            [
+                app + b"\n",
+                b"{not json\n",
+                b'{"kind": "app", "name": "caf\xff"}\r\n',  # not UTF-8
+                review + b"\r",  # a lone CR ends a line too
+                json.dumps({"kind": "mystery"}).encode() + b"\r\n",
+                # missing fields
+                json.dumps({"kind": "review", "review_id": "bad"}).encode() + b"\n",
+                b"[1, 2]\nnull\n",  # valid JSON, but not objects
+            ]
+        )
+    )
     loaded = load_archive(path)
-    assert len(loaded.load_skips) == 5
-    assert [lineno for lineno, _ in loaded.load_skips] == [2, 4, 5, 6, 7]
-    assert loaded.load_skips[3:] == [(6, "expected a JSON object"), (7, "expected a JSON object")]
+    assert len(loaded.load_skips) == 6
+    assert [lineno for lineno, _ in loaded.load_skips] == [2, 3, 5, 6, 7, 8]
+    assert loaded.load_skips[1] == (3, "invalid UTF-8 at byte 28: invalid start byte")
+    assert loaded.load_skips[4:] == [(7, "expected a JSON object"), (8, "expected a JSON object")]
     assert loaded.apps == archive.apps
     assert loaded.reviews == archive.reviews
 
@@ -354,6 +371,143 @@ def test_superseded_lines_match_a_map_of_every_key(entries):
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         assert sorted(load_archive(path).load_skips) == sorted(expected)
 
+# --- the loader against its reference -------------------------------------------
+
+# few ids, so that keys repeat and scores meet their reviews; "1" and
+# "True" are what the ids 1 and true read as
+IDS = ["ü 😀", "1", "True"]
+WORDS = ["", "a body", "ünï 😀 ✓", 'q"uote\\', "two\nlines", "cr\r\nlf", "\u2028"]
+SCALARS = [True, 3, 3.0, "3", "x", None, [], -1, 0, 7, 10**30]
+# combined values from few scores, so that the same score meets itself
+# written as a string, an int and a float
+COMBINED = [3, 3, -4, -4, None, *COMBINED_TO_SCORE]
+ODD_LINES = ["", "   ", "\t", "\x0b", "[1, 2]", "null", "NaN", "1" * 4400, '"text"', "{", "{}"]
+
+
+def _archive_object(rng: random.Random, odds: int) -> dict:
+    """An app, review, release or score line; about one field in ``odds``
+    is odd and one line in ``odds`` misses a field."""
+
+    def field(valid, *odd):
+        return rng.choice(odd + tuple(SCALARS)) if rng.randrange(odds) == 0 else valid
+
+    kind = rng.choice(["app", "review", "review", "release", "score", "score", "?"])
+    app_id = field(rng.choice(IDS), 1, True)
+    date = field(dt.date(2016, 1, 4) + dt.timedelta(days=rng.randrange(400)), "2016-13-01", "")
+    date = date.isoformat() if isinstance(date, dt.date) else date
+    if kind == "app":
+        price = rng.choice([0.0, 0.99, 4.99, -1.0])
+        obj = {"app_id": app_id, "name": rng.choice(WORDS), "primary_category": rng.choice(WORDS),
+               "price": field(price, "1.5"), "current_version": "1.0",
+               "is_free": field(price == 0, price != 0), "raw_details": {"id": 7}}
+    elif kind == "review":
+        obj = {"review_id": field(rng.choice(IDS), 1, True), "app_id": app_id,
+               "author": rng.choice(WORDS), "title": rng.choice(WORDS), "body": rng.choice(WORDS),
+               "rating": field(rng.randint(1, 5), 0, 6, "4"), "date": date,
+               "helpful_votes": field(rng.randint(0, 3), -2),
+               "app_version": "1.0", "raw": {"k": [1, "two"]}}
+    elif kind == "release":
+        obj = {"app_id": app_id, "version": field(rng.choice(IDS), ""), "date": date,
+               "notes": rng.choice(WORDS)}
+    elif kind == "score":
+        combined = rng.choice(COMBINED)
+        positive, negative = COMBINED_TO_SCORE[combined]
+        as_read = ("undefined",) if combined is None else (combined, float(combined))
+        obj = {"app_id": app_id, "review_id": field(rng.choice(IDS), 1, True),
+               "positive": field(positive, 3.0, 0, 6, float("nan")),
+               "negative": field(negative, -4.0, "-2", 0, -6),
+               "combined": field(format_combined(combined), *as_read, "2", "6", "-0")}
+    else:
+        obj = {}
+    obj = {**obj, "kind": kind}
+    if rng.randrange(odds) == 0:
+        del obj[rng.choice(sorted(obj))]
+    return obj
+
+
+def _archive_line(rng: random.Random, odds: int, obj: dict) -> str:
+    """``obj`` as an archive line with its ending; one line in ``odds``
+    is altered or replaced by an odd one."""
+    text = json.dumps(obj, ensure_ascii=rng.random() < 0.5, sort_keys=rng.random() < 0.5)
+    if rng.randrange(odds) == 0:
+        form = rng.choice(["bom", "leading", "trailing", "text", "cut", "odd"])
+        if form == "bom":
+            text = "\ufeff" + text
+        elif form == "leading":
+            text = " " + text
+        elif form == "trailing":
+            text += " \t"
+        elif form == "text":
+            text += " x"
+        elif form == "cut":
+            text = text[: rng.randrange(1, len(text))]
+        else:
+            text = rng.choice(ODD_LINES)
+    return text + rng.choice(["\n"] * 8 + ["\r\n", "\r"])
+
+
+@st.composite
+def archive_files(draw) -> str:
+    """Archive text: lines valid, altered or odd, repeated keys, scores
+    before and after their reviews, the last line with or without its
+    newline."""
+    rng = draw(st.randoms(use_true_random=True))
+    odds = rng.choice([3, 30])  # messy or mostly valid
+    objects = [_archive_object(rng, odds) for _ in range(draw(st.integers(0, 40)))]
+    reviews = [
+        o for o in objects if o.get("kind") == "review" and {"app_id", "review_id"} <= o.keys()
+    ]
+    for at, obj in enumerate(objects):
+        if obj.get("kind") == "score" and reviews and rng.randrange(5):
+            review = rng.choice(reviews)  # its key, as read or as written
+            objects[at] = {**obj, "app_id": review["app_id"], "review_id": review["review_id"]}
+    text = "".join(_archive_line(rng, odds, obj) for obj in objects)
+    return text if rng.random() < 0.5 else text.rstrip("\n")
+
+
+class _Warnings(logging.Handler):
+    """The messages the store logs at WARNING while in use."""
+
+    def __enter__(self):
+        self.messages = []
+        logging.getLogger("reviewsent.store").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("reviewsent.store").removeHandler(self)
+
+    def emit(self, record):
+        if record.levelno >= logging.WARNING:
+            self.messages.append(record.getMessage())
+
+
+def _rows_or_error(rows):
+    try:
+        return rows()
+    except ArchiveError as exc:
+        return str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(archive_files())
+def test_loader_equals_reference_loader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with _Warnings() as expected_warnings:
+            expected = reference_load_archive(path)
+        with _Warnings() as warnings:
+            loaded = load_archive(path)
+    assert loaded == expected
+    assert loaded.load_skips == expected.load_skips
+    for table in "apps", "reviews", "releases", "scores":
+        assert list(getattr(loaded, table)) == list(getattr(expected, table))
+    assert _rows_or_error(loaded.scored_rows) == _rows_or_error(
+        lambda: reference_scored_rows(expected)
+    )
+    assert warnings == expected_warnings
+
+
 # --- scored-view sidecar ---------------------------------------------------------
 
 TEXT = st.one_of(
@@ -411,6 +565,18 @@ def test_sidecar_view_equals_full_load_view(archive):
         expected = load_archive(path).scored_view()
         assert store._read_view(path) == expected  # the sidecar itself, no fallback
         assert load_scored_view(path) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(scored_archives())
+def test_scored_rows_equal_reference_rows(archive):
+    expected = reference_scored_rows(archive)
+    assert archive.scored_rows() == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        save_archive(archive, path)
+        # a loaded archive shares one score object per distinct score
+        assert load_archive(path).scored_rows() == expected
 
 
 def _flip_rating(path: Path) -> None:
