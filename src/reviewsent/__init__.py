@@ -17,15 +17,7 @@ from .emojis import (
     select_frequent,
     substitute_emojis,
 )
-from .engine import (
-    SentimentScore,
-    Token,
-    TokenKind,
-    TokenStream,
-    score_review,
-    score_text,
-    tokenize,
-)
+from .engine import SentimentScore, score_review, score_text
 from .lexicon import (
     Lexicon,
     LexiconError,
@@ -56,9 +48,6 @@ __all__ = [
     "Release",
     "Review",
     "SentimentScore",
-    "Token",
-    "TokenKind",
-    "TokenStream",
     "combine",
     "import_releases",
     "load_archive",
@@ -73,6 +62,5 @@ __all__ = [
     "score_text",
     "select_frequent",
     "substitute_emojis",
-    "tokenize",
     "__version__",
 ]

@@ -51,10 +51,6 @@ class CategorySummary:
     share_negative: float
     share_undefined: float
 
-    @property
-    def n_total(self) -> int:
-        return self.n_free + self.n_paid
-
 
 @dataclass(frozen=True)
 class RatingSummary:

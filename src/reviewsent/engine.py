@@ -1,7 +1,7 @@
 """Tokenizer and dual-polarity scorer for informal review text.
 
 Every text receives a positive strength in [1,5] and a negative
-strength in [-5,-1]. Token scores come from dictionary lookups
+strength in [-5,-1]. Each token's score comes from dictionary lookups
 (sentiment terms by normalized form after slang resolution, emoticons
 by raw surface); the text score is the maximum positive and minimum
 negative token score. Booster words deepen or soften the next
@@ -18,8 +18,7 @@ tokens: one scan finds the emoticons, ``str.split`` cuts the text
 between them into whitespace chunks, and each chunk maps to the
 (score, boost) of the one word it holds, or to nothing when it is all
 punctuation. That mapping is remembered per lexicon in a memo of at
-most ``CHUNK_MEMO_LIMIT`` chunks. ``tokenize`` and ``TokenStream`` give
-the same tokens explicitly, for inspection and debugging.
+most ``CHUNK_MEMO_LIMIT`` chunks.
 
 ``score_reviews`` scores a batch. When its text is long enough to pay
 for starting workers, it splits the batch across the CPUs the process
@@ -33,12 +32,11 @@ import re
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate, pairwise
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .emojis import EmojiEntry, EmojiLexicon, substitute_emojis
-from .lexicon import Lexicon, emoticon_pattern
+from .lexicon import Lexicon
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -75,47 +73,7 @@ MIN_CHARS_PER_PROCESS = 1_000_000
 CHARS_PER_TASK = 64_000
 
 _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
-_CHUNK = re.compile(r"\S+")
 _UNSEEN = object()
-
-
-class TokenKind(Enum):
-    WORD = "word"
-    EMOTICON = "emoticon"
-    PUNCTUATION = "punctuation"
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    normalized: str
-    kind: TokenKind
-    start: int  # offset into the source text
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    """Tokens of one text, with enough positions to rebuild the input."""
-
-    text: str
-    tokens: tuple[Token, ...]
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def reconstruct(self) -> str:
-        """Source text rebuilt from token surfaces and the gaps between them."""
-        parts: list[str] = []
-        pos = 0
-        for token in self.tokens:
-            parts.append(self.text[pos : token.start])
-            parts.append(token.surface)
-            pos = token.start + len(token.surface)
-        parts.append(self.text[pos:])
-        return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -149,53 +107,14 @@ def _is_punctuation(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def tokenize(text: str, emoticons: Iterable[str] = ()) -> TokenStream:
-    """Split a text into word, emoticon, and punctuation tokens.
-
-    Emoticon strings are matched anywhere in the text, longest first,
-    before word splitting, so "nice:)" yields a word and an emoticon.
-    """
-    tokens: list[Token] = []
-    pattern = emoticon_pattern(emoticons)
-    spans = (
-        [(m.start(), m.end()) for m in pattern.finditer(text)] if pattern else []
-    )
-    pos = 0
-    for start, end in spans + [(len(text), len(text))]:
-        _tokenize_words(text, pos, start, tokens)
-        if start < end:
-            surface = text[start:end]
-            tokens.append(Token(surface, surface, TokenKind.EMOTICON, start))
-        pos = end
-    return TokenStream(text=text, tokens=tuple(tokens))
-
-
-def _tokenize_words(text: str, lo: int, hi: int, out: list[Token]) -> None:
-    for match in _CHUNK.finditer(text, lo, hi):
-        chunk = match.group()
-        base = match.start()
-        i, j = 0, len(chunk)
-        while i < j and _is_punctuation(chunk[i]):
-            i += 1
-        while j > i and _is_punctuation(chunk[j - 1]):
-            j -= 1
-        if i > 0:
-            out.append(Token(chunk[:i], chunk[:i], TokenKind.PUNCTUATION, base))
-        if i < j:
-            word = chunk[i:j]
-            out.append(Token(word, _normalize_word(word), TokenKind.WORD, base + i))
-        if i < j < len(chunk):
-            out.append(Token(chunk[j:], chunk[j:], TokenKind.PUNCTUATION, base + j))
-
-
 def _clamp(value: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, value))
 
 
 def _chunk_entry(lexicon: Lexicon, chunk: str) -> tuple[int, int | None] | None:
-    """(score, boost) of the word in a whitespace chunk, None when the
-    chunk is all punctuation. Peels and normalizes as ``tokenize`` does;
-    the boost is None unless the word is a booster."""
+    """(score, boost) of the word a whitespace chunk holds once its leading
+    and trailing punctuation is peeled off, or None when the chunk is all
+    punctuation; the boost is None unless the word is a booster."""
     i, j = 0, len(chunk)
     if not chunk[0].isalnum():  # no letter or digit is punctuation
         while i < j and _is_punctuation(chunk[i]):

@@ -370,7 +370,11 @@ _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=_json_va
 
 
 def _write_line(out: IO[str], obj: dict) -> None:
-    out.write(_ENCODER.encode(obj))
+    try:
+        line = _ENCODER.encode(obj)
+    except RecursionError:  # a loaded raw payload may nest almost as deep as decoding allows
+        raise ArchiveError("a raw payload is nested too deeply to save") from None
+    out.write(line)
     out.write("\n")
 
 
@@ -418,12 +422,13 @@ def _read_archive(stream: IO[bytes], archive: Archive) -> None:
     positions: dict[str, dict[object, int]] = {}
 
     def accept(kind: str, key: object, lineno: int) -> None:
-        """Bookkeeping of an accepted line: a new key that the table
-        appended last while the kind has no repeat is done inline."""
+        """Record the line of an accepted entity; when its key repeats,
+        report the line it supersedes."""
         table, kind_lines = tables[kind], lines_of[kind]
         if len(table) > len(kind_lines):  # a new key, which the table appended last
             kind_lines.append(lineno)
-            positions[kind][key] = len(kind_lines) - 1
+            if kind in positions:
+                positions[kind][key] = len(kind_lines) - 1
             return
         if kind not in positions:
             positions[kind] = {k: i for i, k in enumerate(table)}
@@ -443,15 +448,18 @@ def _read_archive(stream: IO[bytes], archive: Archive) -> None:
         try:
             raw = line.decode("utf-8")
             try:
-                obj, end = scan(raw, 0)
-            except (StopIteration, ValueError):
-                end = None
-            # anything but one value up to the newline (blank lines, white
-            # space, CRLF, a BOM, trailing text, errors) takes the slow path
-            if end is None or raw[end:] != "\n":
-                if not raw.strip():
-                    continue
-                obj = json.loads(raw)
+                try:
+                    obj, end = scan(raw, 0)
+                except (StopIteration, ValueError):
+                    end = None
+                # anything but one value up to the newline (blank lines, white
+                # space, CRLF, a BOM, trailing text, errors) takes the slow path
+                if end is None or raw[end:] != "\n":
+                    if not raw.strip():
+                        continue
+                    obj = json.loads(raw)
+            except RecursionError:
+                raise ArchiveError("JSON nested too deeply") from None
             if not isinstance(obj, dict):
                 raise ArchiveError("expected a JSON object")
             kind = obj.get("kind")
@@ -469,15 +477,11 @@ def _read_archive(stream: IO[bytes], archive: Archive) -> None:
                 key = (entity.app_id, entity.version)
             else:
                 raise ArchiveError(f"unknown kind {kind!r}")
-            table = tables[kind]
-            table[key] = entity
-            if len(table) > len(lines_of[kind]) and kind not in positions:
-                lines_of[kind].append(lineno)
-            else:
-                accept(kind, key, lineno)
+            tables[kind][key] = entity
+            accept(kind, key, lineno)
         except UnicodeDecodeError as exc:
             skips.append((lineno, f"invalid UTF-8 at byte {exc.start}: {exc.reason}"))
-        except (ArchiveError, KeyError, TypeError, ValueError) as exc:
+        except (ArchiveError, KeyError, TypeError, ValueError, OverflowError) as exc:
             skips.append((lineno, str(exc) or repr(exc)))
 
     # each distinct (positive, negative, combined) is checked once; its
@@ -502,11 +506,8 @@ def _read_archive(stream: IO[bytes], archive: Archive) -> None:
                 score = _score_from_json(obj)
                 key = (str(obj["app_id"]), str(obj["review_id"]))
             archive.set_score(*key, score)
-            if len(archive.scores) > len(lines_of["score"]) and "score" not in positions:
-                lines_of["score"].append(lineno)
-            else:
-                accept("score", key, lineno)
-        except (ArchiveError, KeyError, TypeError, ValueError) as exc:
+            accept("score", key, lineno)
+        except (ArchiveError, KeyError, TypeError, ValueError, OverflowError) as exc:
             skips.append((lineno, str(exc) or repr(exc)))
 
 
@@ -587,7 +588,7 @@ def load_scored_view(path: str | Path) -> ScoredView:
     path = Path(path)
     try:
         return _read_view(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # ArchiveError too
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:  # ArchiveError too
         log.debug("archive %s: sidecar not used (%s)", path, exc)
     return load_archive(path).scored_view()
 

@@ -15,6 +15,8 @@ import signal
 import subprocess
 import sys
 import time
+import unicodedata
+from collections.abc import Iterator
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -22,8 +24,8 @@ from urllib.parse import parse_qs, urlparse
 from reviewsent import AppRecord, Archive, Review, SentimentScore, engine
 from reviewsent.combine import combine, parse_combined
 from reviewsent.emojis import SUBSTITUTIONS, EmojiLexicon
-from reviewsent.engine import BOOSTER_WINDOW, TokenKind, tokenize
-from reviewsent.lexicon import Lexicon
+from reviewsent.engine import BOOSTER_WINDOW
+from reviewsent.lexicon import Lexicon, emoticon_pattern
 from reviewsent.store import ArchiveError, Release, ScoredRow
 
 # A dual score whose combined sentiment is the given value. Note that
@@ -376,22 +378,52 @@ def lookup_payload(app_id: str, n_keys: int = 44) -> dict:
 # --- reference scorer and emoji substitution ----------------------------------
 
 
+def _reference_tokens(text: str, emoticons) -> Iterator[tuple[str, str, str]]:
+    """(kind, surface, normalized) of each token of ``text``: emoticons
+    anywhere, longest first, then whitespace chunks with their leading
+    and trailing punctuation peeled off into punctuation tokens."""
+    pattern = emoticon_pattern(emoticons)
+    spans = [m.span() for m in pattern.finditer(text)] if pattern else []
+    pos = 0
+    for start, end in spans + [(len(text), len(text))]:
+        for chunk in re.findall(r"\S+", text[pos:start]):
+            i, j = 0, len(chunk)
+            while i < j and unicodedata.category(chunk[i]).startswith("P"):
+                i += 1
+            while j > i and unicodedata.category(chunk[j - 1]).startswith("P"):
+                j -= 1
+            if i > 0:
+                yield "punctuation", chunk[:i], chunk[:i]
+            if i < j:
+                word = chunk[i:j]
+                yield "word", word, re.sub(r"([^\W\d_])\1{2,}", r"\1\1", word.lower())
+            if i < j < len(chunk):
+                yield "punctuation", chunk[j:], chunk[j:]
+        if start < end:
+            yield "emoticon", text[start:end], text[start:end]
+        pos = end
+
+
 def reference_score_text(lexicon: Lexicon, text: str) -> SentimentScore:
-    """``score_text`` spelled out over the public ``tokenize`` stream."""
-    scoring = [t for t in tokenize(text, lexicon.emoticons) if t.kind is not TokenKind.PUNCTUATION]
+    """``score_text`` spelled out over an explicit token stream."""
+    scoring = [
+        (kind, normalized)
+        for kind, _, normalized in _reference_tokens(text, lexicon.emoticons)
+        if kind != "punctuation"
+    ]
     base = []
-    for token in scoring:
-        if token.kind is TokenKind.EMOTICON:
-            base.append(lexicon.emoticons.get(token.surface, 0))
+    for kind, normalized in scoring:
+        if kind == "emoticon":
+            base.append(lexicon.emoticons.get(normalized, 0))
         else:
-            term = lexicon.slang.get(token.normalized, token.normalized)
+            term = lexicon.slang.get(normalized, normalized)
             base.append(lexicon.sentiment_terms.get(term, 0))
 
     boosts = [0] * len(scoring)
-    for i, token in enumerate(scoring):
-        if token.kind is not TokenKind.WORD:
+    for i, (kind, normalized) in enumerate(scoring):
+        if kind != "word":
             continue
-        boost = lexicon.boosters.get(token.normalized)
+        boost = lexicon.boosters.get(normalized)
         if boost is None:
             continue
         for j in range(i + 1, min(i + BOOSTER_WINDOW, len(scoring) - 1) + 1):
@@ -514,7 +546,10 @@ def reference_load_archive(path) -> Archive:
             if not raw.strip():
                 continue
             try:
-                obj = json.loads(raw)
+                try:
+                    obj = json.loads(raw)
+                except RecursionError:
+                    raise ArchiveError("JSON nested too deeply") from None
                 if not isinstance(obj, dict):
                     raise ArchiveError("expected a JSON object")
                 kind = obj.get("kind")
@@ -534,7 +569,7 @@ def reference_load_archive(path) -> Archive:
                     pending_scores.append((lineno, obj))
                 else:
                     raise ArchiveError(f"unknown kind {kind!r}")
-            except (ArchiveError, KeyError, TypeError, ValueError) as exc:
+            except (ArchiveError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 archive.load_skips.append((lineno, str(exc) or repr(exc)))
     for lineno, obj in pending_scores:
         try:
@@ -548,7 +583,7 @@ def reference_load_archive(path) -> Archive:
             key = (str(obj["app_id"]), str(obj["review_id"]))
             archive.set_score(*key, score)
             accept("score", key, lineno)
-        except (ArchiveError, KeyError, TypeError, ValueError) as exc:
+        except (ArchiveError, KeyError, TypeError, ValueError, OverflowError) as exc:
             archive.load_skips.append((lineno, str(exc) or repr(exc)))
     if archive.load_skips:
         logging.getLogger("reviewsent.store").warning(

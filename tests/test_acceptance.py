@@ -390,7 +390,7 @@ def test_criterion_10_full_dataset_report():
     print(f"computed: mean combined={overall.mean:.3f} over n={overall.n_scored}")
     for summary in summarize_by_category(archive):
         print(
-            f"{summary.category}: n={summary.n_total} mean={summary.mean:.3f} "
+            f"{summary.category}: n={summary.n_free + summary.n_paid} mean={summary.mean:.3f} "
             f"sd={summary.sd:.3f} median={summary.median:.1f}"
         )
     _pass(10, "side-by-side report computed (no tolerance gate by design)")

@@ -1,14 +1,18 @@
 """Command-line pipeline: wiring, determinism, and failure modes."""
 
+import functools
 import multiprocessing
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewsent.cli import main
 from reviewsent.store import load_archive, save_archive
@@ -17,6 +21,7 @@ from helpers import (
     feed_item,
     force_split,
     lookup_payload,
+    random_archive,
     run_python,
     unscored_text_archive,
 )
@@ -609,3 +614,100 @@ def test_ingest_prints_every_feed_error(tmp_path, stub_server, monkeypatch, caps
     err = capsys.readouterr().err
     assert "app a1: page 1: bad review payload ('rating')" in err
     assert "app a1: page 2: bad review payload (Invalid isoformat string: 'March 1')" in err
+
+
+# --- hostile archives --------------------------------------------------------
+
+HOSTILE_LINES = {
+    "nested too deep": b"[" * 100_000,
+    "infinite score": b'{"kind": "score", "app_id": "app0", "review_id": "r00000",'
+    b' "positive": Infinity, "negative": -1, "combined": "5"}',
+    "infinite rating": b'{"kind": "review", "app_id": "app0", "review_id": "x", "author": "",'
+    b' "title": "", "body": "", "rating": Infinity, "date": "2016-02-01"}',
+    "infinite helpful votes": b'{"kind": "review", "app_id": "app0", "review_id": "x",'
+    b' "author": "", "title": "", "body": "", "rating": 3, "date": "2016-02-01",'
+    b' "helpful_votes": -Infinity}',
+}
+
+WINDOW = ["--from", "2016-01-04", "--to", "2016-12-18"]
+
+
+def _run_every_command(archive: Path) -> list[int]:
+    """Exit codes of ``ingest --import-archive`` from ``archive``, then of
+    every report before and after ``score`` rewrites ``archive``; each
+    must be 0 or 1, and no command may leave a lock or temporary file."""
+    reports = [
+        ["summarize"],
+        ["correlate", "--target", "rating"],
+        ["correlate", "--target", "price"],
+        ["timeline", "--app-id", "app0", *WINDOW],
+        ["patterns", "--min-reviews", "0", *WINDOW],
+    ]
+    imported = archive.with_name("imported.jsonl")
+    commands = [
+        ["ingest", "--archive", imported, "--import-archive", archive],
+        *[[*report, "--archive", archive] for report in reports],
+        ["score", "--no-emoji", "--archive", archive],
+        *[[*report, "--archive", archive] for report in reports],
+    ]
+    codes = [run(command) for command in commands]
+    assert set(codes) <= {0, 1}, codes
+    assert not [p.name for p in archive.parent.iterdir() if p.suffix in (".lock", ".tmp")]
+    return codes
+
+
+@pytest.mark.parametrize("hostile", sorted(HOSTILE_LINES))
+def test_hostile_line_is_skipped_by_every_command(fixture_archive, capsys, hostile):
+    assert run(["score", "--no-emoji", "--archive", fixture_archive]) == 0
+    with fixture_archive.open("ab") as out:
+        out.write(HOSTILE_LINES[hostile] + b"\n")
+    lineno = len(fixture_archive.read_bytes().splitlines())
+    assert _run_every_command(fixture_archive) == [0] * 12
+    reason = "JSON nested too deeply" if "deep" in hostile else "cannot convert float infinity"
+    assert f"import: skipped line {lineno}: {reason}" in capsys.readouterr().err
+
+
+def test_raw_payload_at_any_depth_ends_every_command_cleanly(tmp_path):
+    # near the recursion limit a payload may decode but fail to encode
+    review = b'{"kind": "review", "app_id": "app0", "review_id": "x", "author": "",' \
+        b' "title": "", "body": "", "rating": 3, "date": "2016-02-01", "raw": %s}\n'
+    for depth in range(800, 1001, 4):
+        archive = tmp_path / str(depth) / "archive.jsonl"
+        archive.parent.mkdir()
+        archive.write_bytes(review % (b"[" * depth + b"]" * depth))
+        _run_every_command(archive)
+
+
+@functools.cache
+def _small_scored_archive() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        save_archive(random_archive(random.Random(3), n_apps=2, n_reviews=4), path)
+        return path.read_bytes()
+
+
+# (offset, byte, how): the byte is written over, put before, or removed;
+# the offset wraps around the archive's length
+BYTE_EDITS = st.tuples(
+    st.integers(0, 1 << 16),
+    st.sampled_from(b'[]{}",:-.0159eEInfty \n\r\xff'),
+    st.sampled_from(["replace", "insert", "delete"]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(BYTE_EDITS, min_size=1, max_size=6))
+def test_mutated_archive_never_raises(edits):
+    data = bytearray(_small_scored_archive())
+    for offset, byte, how in edits:
+        offset %= len(data)
+        if how == "replace":
+            data[offset] = byte
+        elif how == "insert":
+            data.insert(offset, byte)
+        elif len(data) > 1:
+            del data[offset]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        path.write_bytes(bytes(data))
+        _run_every_command(path)

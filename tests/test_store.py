@@ -220,14 +220,24 @@ def test_corrupt_lines_skipped_with_report(tmp_path):
                 # missing fields
                 json.dumps({"kind": "review", "review_id": "bad"}).encode() + b"\n",
                 b"[1, 2]\nnull\n",  # valid JSON, but not objects
+                b"[" * 100_000 + b"\n",  # deeper than the decoder recurses
+                # non-finite numbers in int fields
+                review.replace(b'"rating": 3', b'"rating": Infinity') + b"\n",
+                b'{"kind": "score", "app_id": "app1", "review_id": "r1", "positive": Infinity,'
+                b' "negative": -1, "combined": "5"}\n',
             ]
         )
     )
     loaded = load_archive(path)
-    assert len(loaded.load_skips) == 6
-    assert [lineno for lineno, _ in loaded.load_skips] == [2, 3, 5, 6, 7, 8]
+    assert [lineno for lineno, _ in loaded.load_skips] == [2, 3, 5, 6, 7, 8, 9, 10, 11]
     assert loaded.load_skips[1] == (3, "invalid UTF-8 at byte 28: invalid start byte")
-    assert loaded.load_skips[4:] == [(7, "expected a JSON object"), (8, "expected a JSON object")]
+    assert loaded.load_skips[4:] == [
+        (7, "expected a JSON object"),
+        (8, "expected a JSON object"),
+        (9, "JSON nested too deeply"),
+        (10, "cannot convert float infinity to integer"),
+        (11, "cannot convert float infinity to integer"),
+    ]
     assert loaded.apps == archive.apps
     assert loaded.reviews == archive.reviews
 
@@ -377,11 +387,12 @@ def test_superseded_lines_match_a_map_of_every_key(entries):
 # "True" are what the ids 1 and true read as
 IDS = ["ü 😀", "1", "True"]
 WORDS = ["", "a body", "ünï 😀 ✓", 'q"uote\\', "two\nlines", "cr\r\nlf", "\u2028"]
-SCALARS = [True, 3, 3.0, "3", "x", None, [], -1, 0, 7, 10**30]
+SCALARS = [True, 3, 3.0, "3", "x", None, [], -1, 0, 7, 10**30, 10**400, float("inf")]
 # combined values from few scores, so that the same score meets itself
 # written as a string, an int and a float
 COMBINED = [3, 3, -4, -4, None, *COMBINED_TO_SCORE]
-ODD_LINES = ["", "   ", "\t", "\x0b", "[1, 2]", "null", "NaN", "1" * 4400, '"text"', "{", "{}"]
+ODD_LINES = ["", "   ", "\t", "\x0b", "[1, 2]", "null", "NaN", "1" * 4400, '"text"', "{", "{}",
+             "[" * 100_000, '{"kind": ' * 100_000]
 
 
 def _archive_object(rng: random.Random, odds: int) -> dict:
@@ -601,6 +612,7 @@ STALE_SIDECARS = {
     "sidecar version": _edit_sidecar(lambda text: text.replace('"version": 1', '"version": 2')),
     "sidecar columns": _edit_sidecar(lambda text: text.replace('"rating"', '"stars"')),
     "sidecar missing": lambda path: view_path(path).unlink(),
+    "sidecar nested too deep": _edit_sidecar(lambda text: "[" * 100_000),
 }
 
 
