@@ -22,7 +22,9 @@ most ``CHUNK_MEMO_LIMIT`` chunks.
 
 ``score_reviews`` scores a batch. When its text is long enough to pay
 for starting workers, it splits the batch across the CPUs the process
-may use.
+may use: the calling process scores tasks from the front of the batch
+and hands tasks from the back to the workers, at most three unfinished
+per worker, until the two ends meet.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .emojis import EmojiEntry, EmojiLexicon, substitute_emojis
 from .lexicon import Lexicon
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future
-
     from .store import Review
 
 POSITIVE_RANGE = (1, 5)
@@ -66,10 +66,10 @@ CHUNK_MEMO_LIMIT = 1 << 14
 MIN_CHARS_PER_PROCESS = 1_000_000
 
 # Review text in one task of a split batch: about 25 ms of scoring at
-# 2.5 M chars/s. The pool queues one task beyond those its workers run,
-# so after its own share this process waits about two tasks at most
-# (0.02-0.11 s, median 0.05 s, over 30 runs of score_long_tail: 49
-# tasks, 2 processes, 2-vCPU VM).
+# 2.5 M chars/s. A worker holds at most three unfinished tasks, so after
+# its own share this process waits about three tasks at most (0.00-0.06
+# s, median 0.02 s, over 10 runs of score_long_tail: 49 tasks, 16-27 of
+# them scored by the worker, 2 processes, 2-vCPU VM).
 CHARS_PER_TASK = 64_000
 
 _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
@@ -212,14 +212,14 @@ def score_reviews(
 
     With more than one usable CPU and at least ``MIN_CHARS_PER_PROCESS``
     characters of title and body per process, the reviews are cut into
-    contiguous tasks of about ``CHARS_PER_TASK`` characters. Spawned
-    workers take tasks from the end of the batch while this process
-    scores them from the start, until it reaches a task a worker has
-    taken, so each process scores as much as its speed allows. The
-    workers are gone when the call returns. A worker's exception is
-    raised here with its own type; a worker that ends abruptly (killed,
-    out of memory, or failed to start) raises ``ChildProcessError``
-    within about one task.
+    contiguous tasks of about ``CHARS_PER_TASK`` characters. This process
+    scores them from the start of the batch. Before each task it hands
+    tasks from the end of the batch to spawned workers, while fewer than
+    three per worker are unfinished, until the two ends meet; so each
+    process scores as much as its speed allows. The workers are gone when
+    the call returns. A worker's exception is raised here with its own
+    type; a worker that ends abruptly (killed, out of memory, or failed
+    to start) raises ``ChildProcessError`` within about one task.
     """
     sizes = [len(review.title) + len(review.body) for review in reviews]
     chars = sum(sizes)
@@ -240,34 +240,33 @@ def score_reviews(
         (entry.emoji, entry.occurrences, entry.polarity) for entry in emoji_lexicon.entries
     ]
     tasks = list(pairwise(_slice_bounds(sizes, chars // CHARS_PER_TASK)))
-    # spawn, not fork: forking a process that runs threads is unsafe
-    context = multiprocessing.get_context("spawn")
-    # Each task goes to whichever process claims it first. Claims, not
-    # Future.cancel(): when a worker dies, the pool fails every pending
-    # future, and on a cancelled one that kills the pool's manager thread
-    # (InvalidStateError), so the other futures never resolve.
-    claimed = context.Array("b", len(tasks))
     pool = ProcessPoolExecutor(
         processes - 1,
-        mp_context=context,
+        # spawn, not fork: forking a process that runs threads is unsafe
+        mp_context=multiprocessing.get_context("spawn"),
         initializer=_start_worker,
-        initargs=(tables, entries, claimed),
+        initargs=(tables, entries),
     )
+    # one task running and two queued per worker, so a worker rarely
+    # waits for this process to hand it the next one
+    depth = 3 * (processes - 1)
+    handed = []  # futures of tasks[back:], last task first
+    front, back = 0, len(tasks)
+    scores: list[SentimentScore] = []
     try:
-        # submitted last task first: the pool hands tasks to workers in
-        # submission order
-        futures = [
-            pool.submit(_score_pairs, index, [(r.title, r.body) for r in reviews[lo:hi]])
-            for index, (lo, hi) in reversed(list(enumerate(tasks)))
-        ][::-1]
-        scores: list[SentimentScore] = []
-        for index, ((lo, hi), future) in enumerate(zip(tasks, futures)):
-            # a running future is queued to a worker; a done one holds a
-            # worker's result or, when the pool broke, its error
-            if future.running() or future.done() or not _claim(claimed, index, future):
-                scores += [SentimentScore(p, n) for p, n in future.result()]
-            else:
-                scores += [score_review(lexicon, r, emoji_lexicon) for r in reviews[lo:hi]]
+        while front < back:
+            busy = sum(not future.done() for future in handed)
+            while busy < depth and back > front + 1:
+                back -= 1
+                lo, hi = tasks[back]
+                pairs = [(r.title, r.body) for r in reviews[lo:hi]]
+                handed.append(pool.submit(_score_pairs, pairs))
+                busy += 1
+            lo, hi = tasks[front]
+            scores += [score_review(lexicon, r, emoji_lexicon) for r in reviews[lo:hi]]
+            front += 1
+        for future in reversed(handed):
+            scores += [SentimentScore(p, n) for p, n in future.result()]
     except BrokenProcessPool as exc:
         raise ChildProcessError(
             "a scoring worker process ended abruptly (killed, out of memory, or failed"
@@ -276,24 +275,6 @@ def score_reviews(
     finally:
         pool.shutdown(cancel_futures=True)
     return scores
-
-
-def _claim(claimed, index: int, future: Future | None = None) -> bool:
-    """Claim task ``index`` of ``score_reviews``: True unless another
-    process has claimed it or ``future``, the task's, is done."""
-    lock = claimed.get_lock()
-    # a worker killed while it holds the lock never releases it, so the
-    # caller waits in steps until the broken pool fails ``future``
-    while not lock.acquire(timeout=0.1):
-        if future is not None and future.done():
-            return False
-    try:
-        if claimed[index]:
-            return False
-        claimed[index] = 1
-        return True
-    finally:
-        lock.release()
 
 
 def _slice_bounds(sizes: list[int], parts: int) -> list[int]:
@@ -305,34 +286,28 @@ def _slice_bounds(sizes: list[int], parts: int) -> list[int]:
     return [0, *sorted(cuts - {len(sizes)}), len(sizes)]
 
 
-# a worker's lexicons and the task claims, set once by ``_start_worker``
-_worker_state: tuple[Lexicon, EmojiLexicon | None, object] | None = None
+# a worker's lexicons, set once by ``_start_worker``
+_worker_state: tuple[Lexicon, EmojiLexicon | None] | None = None
 
 
 def _start_worker(
     tables: tuple[dict, dict, dict, dict],
     emoji_entries: list[tuple[str, int, int]] | None,
-    claimed,
 ) -> None:
-    """Pool initializer of ``score_reviews``: the lexicons from plain
-    data, and the shared claims."""
+    """Pool initializer of ``score_reviews``: the lexicons from plain data."""
     global _worker_state
     _worker_state = (
         Lexicon(*tables),
         None if emoji_entries is None else EmojiLexicon(
             tuple(EmojiEntry(*entry) for entry in emoji_entries)
         ),
-        claimed,
     )
 
 
-def _score_pairs(index: int, pairs: list[tuple[str, str]]) -> list[tuple[int, int]] | None:
+def _score_pairs(pairs: list[tuple[str, str]]) -> list[tuple[int, int]]:
     """Worker side of ``score_reviews``: (positive, negative) of each
-    (title, body) pair of task ``index``, or None when the calling
-    process has claimed that task."""
-    lexicon, emoji_lexicon, claimed = _worker_state
-    if not _claim(claimed, index):
-        return None
+    (title, body) pair of a task."""
+    lexicon, emoji_lexicon = _worker_state
     scores = []
     for title, body in pairs:
         score = score_text(lexicon, _review_text(title, body, emoji_lexicon))

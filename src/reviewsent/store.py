@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import logging
+import math
 import os
 import zlib
 from contextlib import contextmanager
@@ -55,6 +56,8 @@ class AppRecord:
     def __post_init__(self):
         if not self.app_id:
             raise ArchiveError("app_id must be nonempty")
+        if not math.isfinite(self.price):
+            raise ArchiveError(f"app {self.app_id}: price {self.price} is not finite")
         if self.price < 0:
             raise ArchiveError(f"app {self.app_id}: price {self.price} < 0")
 

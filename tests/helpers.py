@@ -251,13 +251,10 @@ def kill_worker(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def die_holding_claims(*args):
-    """Stands in for ``engine._score_pairs``: the worker takes the lock of
-    the task claims, holds it for 0.5 s, long enough for the caller to
-    wait on it, and dies still holding it."""
-    engine._worker_state[2].get_lock().acquire()
-    time.sleep(0.5)
-    os.kill(os.getpid(), signal.SIGKILL)
+def start_worker_late(*args):
+    """Stands in for ``engine._start_worker``: the worker starts 1 s late."""
+    time.sleep(1)
+    engine._start_worker(*args)
 
 
 def run_python(script: str, *args, timeout: float = 60) -> subprocess.CompletedProcess:

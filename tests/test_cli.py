@@ -627,6 +627,10 @@ HOSTILE_LINES = {
     "infinite helpful votes": b'{"kind": "review", "app_id": "app0", "review_id": "x",'
     b' "author": "", "title": "", "body": "", "rating": 3, "date": "2016-02-01",'
     b' "helpful_votes": -Infinity}',
+    "infinite price": b'{"kind": "app", "app_id": "app0", "name": "", "primary_category": "Games",'
+    b' "price": Infinity, "current_version": ""}',
+    "NaN price": b'{"kind": "app", "app_id": "app0", "name": "", "primary_category": "Games",'
+    b' "price": NaN, "current_version": ""}',
 }
 
 WINDOW = ["--from", "2016-01-04", "--to", "2016-12-18"]
@@ -663,7 +667,12 @@ def test_hostile_line_is_skipped_by_every_command(fixture_archive, capsys, hosti
         out.write(HOSTILE_LINES[hostile] + b"\n")
     lineno = len(fixture_archive.read_bytes().splitlines())
     assert _run_every_command(fixture_archive) == [0] * 12
-    reason = "JSON nested too deeply" if "deep" in hostile else "cannot convert float infinity"
+    if "deep" in hostile:
+        reason = "JSON nested too deeply"
+    elif "price" in hostile:
+        reason = "app app0: price"  # inf or nan, then "is not finite"
+    else:
+        reason = "cannot convert float infinity"
     assert f"import: skipped line {lineno}: {reason}" in capsys.readouterr().err
 
 

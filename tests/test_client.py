@@ -60,6 +60,16 @@ def test_app_details_non_object_result_is_per_id_error(stub_server):
     assert "expected a JSON object" in result.errors["odd"]
 
 
+@pytest.mark.parametrize("price", ["Infinity", "NaN"])
+def test_app_details_non_finite_price_is_per_id_error(stub_server, price):
+    stub_server.app_payloads["good"] = lookup_payload("good")
+    stub_server.app_payloads["odd"] = dict(lookup_payload("odd"), price=float(price))
+    with StoreClient(fast_config(stub_server)) as client:
+        result = client.fetch_app_details(["good", "odd"])
+    assert [r.app_id for r in result.records] == ["good"]
+    assert result.errors == {"odd": f"app odd: price {float(price)} is not finite"}
+
+
 def test_app_details_all_failed_raises(stub_server):
     with StoreClient(fast_config(stub_server)) as client:
         with pytest.raises(ClientError, match="all 2 ids failed"):

@@ -22,6 +22,7 @@ from helpers import (
     make_review,
     reference_score_text,
     run_python,
+    start_worker_late,
 )
 
 WORKED_LEXICON = Lexicon(
@@ -404,40 +405,23 @@ def test_dead_worker_raises_instead_of_hanging():
     assert result.stdout == WORKER_ENDED + "; children left: 0\n"
 
 
-DIE_HOLDING_CLAIMS_SCRIPT = """
-import multiprocessing
-import time
+def test_late_worker_scores_at_most_three_tasks(monkeypatch):
+    reviews = [make_review("app1", f"r{i:02d}", body="good day") for i in range(12)]
+    serial = [score_review(PROPERTY_LEXICON, review) for review in reviews]
+    force_split(monkeypatch, cpus=2)
+    monkeypatch.setattr(engine, "_start_worker", start_worker_late)
+    scored_here = []
 
-from helpers import die_holding_claims, make_review
-from reviewsent import engine
-from reviewsent.lexicon import load_builtin_lexicon
+    def counting_score_review(*args):
+        scored_here.append(args[1])
+        return score_review(*args)
 
-engine.usable_cpus = lambda: 2
-engine.MIN_CHARS_PER_PROCESS = engine.CHARS_PER_TASK = 1
-engine._score_pairs = die_holding_claims
-score_review = engine.score_review
-
-
-def slow_score_review(*args):
-    time.sleep(0.1)  # keeps this process claiming tasks until a worker has started
-    return score_review(*args)
-
-
-engine.score_review = slow_score_review
-reviews = [make_review("app1", f"r{i:03d}") for i in range(100)]
-try:
-    engine.score_reviews(load_builtin_lexicon(), reviews)
-except ChildProcessError as exc:
-    print(f"{exc}; children left: {len(multiprocessing.active_children())}")
-"""
-
-
-def test_worker_dead_while_holding_claims_raises_instead_of_hanging():
-    # the lock of the task claims stays held; in a child interpreter, so
-    # that a hang fails the test as a timeout
-    result = run_python(DIE_HOLDING_CLAIMS_SCRIPT, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == WORKER_ENDED + "; children left: 0\n"
+    monkeypatch.setattr(engine, "score_review", counting_score_review)
+    assert score_reviews(PROPERTY_LEXICON, reviews) == serial
+    # the worker was handed three tasks before it started; this process
+    # scored the rest
+    assert len(scored_here) >= 12 - 3
+    assert multiprocessing.active_children() == []
 
 
 def test_usable_cpus_follows_affinity_else_cpu_count(monkeypatch):

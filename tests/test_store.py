@@ -221,6 +221,9 @@ def test_corrupt_lines_skipped_with_report(tmp_path):
                 json.dumps({"kind": "review", "review_id": "bad"}).encode() + b"\n",
                 b"[1, 2]\nnull\n",  # valid JSON, but not objects
                 b"[" * 100_000 + b"\n",  # deeper than the decoder recurses
+                # a price that is not finite
+                app.replace(b'"price": 0.0', b'"price": Infinity') + b"\n",
+                app.replace(b'"price": 0.0', b'"price": NaN') + b"\n",
                 # non-finite numbers in int fields
                 review.replace(b'"rating": 3', b'"rating": Infinity') + b"\n",
                 b'{"kind": "score", "app_id": "app1", "review_id": "r1", "positive": Infinity,'
@@ -229,14 +232,16 @@ def test_corrupt_lines_skipped_with_report(tmp_path):
         )
     )
     loaded = load_archive(path)
-    assert [lineno for lineno, _ in loaded.load_skips] == [2, 3, 5, 6, 7, 8, 9, 10, 11]
+    assert [lineno for lineno, _ in loaded.load_skips] == [2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13]
     assert loaded.load_skips[1] == (3, "invalid UTF-8 at byte 28: invalid start byte")
     assert loaded.load_skips[4:] == [
         (7, "expected a JSON object"),
         (8, "expected a JSON object"),
         (9, "JSON nested too deeply"),
-        (10, "cannot convert float infinity to integer"),
-        (11, "cannot convert float infinity to integer"),
+        (10, "app app1: price inf is not finite"),
+        (11, "app app1: price nan is not finite"),
+        (12, "cannot convert float infinity to integer"),
+        (13, "cannot convert float infinity to integer"),
     ]
     assert loaded.apps == archive.apps
     assert loaded.reviews == archive.reviews
