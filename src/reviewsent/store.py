@@ -24,8 +24,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Mapping, NamedTuple
+from typing import IO, Iterator, Mapping, NamedTuple
 
 from .combine import combine, format_combined, parse_combined
 from .engine import SentimentScore
@@ -42,7 +43,7 @@ class ArchiveLockedError(ArchiveError):
     """Another writer holds the archive lock."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppRecord:
     """One store listing. ``raw_details`` keeps the store payload verbatim."""
 
@@ -66,7 +67,7 @@ class AppRecord:
         return self.price == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Review:
     """One user review. ``raw`` keeps the feed payload verbatim."""
 
@@ -99,7 +100,7 @@ class Review:
         return len(self.title) + len(self.body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Release:
     app_id: str
     version: str
@@ -124,7 +125,7 @@ class ScoredRow(NamedTuple):
     text_length: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredView:
     """What the reports read from an archive: its scored rows, app ids and releases.
 
@@ -316,48 +317,40 @@ def archive_lock(path: str | Path):
 
 
 def save_archive(archive: Archive, path: str | Path) -> None:
+    """Persist an archive under its writer lock; see ``write_archive``."""
+    with archive_lock(path):
+        write_archive(archive, path)
+
+
+def write_archive(archive: Archive, path: str | Path) -> None:
     """Persist an archive as sorted JSON lines (deterministic bytes).
 
-    When every review is scored, the scored-view sidecar is rewritten
-    for the new bytes; otherwise it is removed.
+    The caller holds ``archive_lock(path)``, from before it loaded what
+    it changes, so that no other writer's update is lost. When every
+    review is scored, the scored-view sidecar is rewritten for the new
+    bytes; otherwise it is removed.
     """
     path = Path(path)
     sidecar = view_path(path)
-    with archive_lock(path):
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        sidecar_tmp = sidecar.with_suffix(sidecar.suffix + ".tmp")
-        try:
-            with tmp.open("w", encoding="utf-8", newline="\n") as out:
-                for app_id in sorted(archive.apps):
-                    app = archive.apps[app_id]
-                    _write_line(out, _entity_to_json("app", app, is_free=app.is_free))
-                for key in sorted(archive.reviews):
-                    _write_line(out, _entity_to_json("review", archive.reviews[key]))
-                for key in sorted(archive.releases):
-                    _write_line(out, _entity_to_json("release", archive.releases[key]))
-                for (app_id, review_id), score in sorted(archive.scores.items()):
-                    combined = format_combined(combine(score))
-                    line = _entity_to_json(
-                        "score", score, app_id=app_id, review_id=review_id, combined=combined
-                    )
-                    _write_line(out, line)
-            try:
-                view = archive.scored_view()
-            except ArchiveError:  # unscored reviews or unknown apps: reports load in full
-                view = None
-            if view is not None:
-                _write_view(view, _archive_key(tmp), sidecar_tmp)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            sidecar_tmp.unlink(missing_ok=True)
-            raise
-        # a crash between the two steps leaves a sidecar whose key no longer
-        # matches, which readers ignore
-        tmp.replace(path)
-        if view is None:
-            sidecar.unlink(missing_ok=True)
-        else:
-            sidecar_tmp.replace(sidecar)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    sidecar_tmp = sidecar.with_suffix(sidecar.suffix + ".tmp")
+    view: dict[str, list] = {}
+    try:
+        with tmp.open("wb") as out:
+            key = _write_chunks(out, _archive_lines(archive, view))
+        if view:
+            _write_view(view, key, sidecar_tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        sidecar_tmp.unlink(missing_ok=True)
+        raise
+    # a crash between the two steps leaves a sidecar whose key no longer
+    # matches, which readers ignore
+    tmp.replace(path)
+    if view:
+        sidecar_tmp.replace(sidecar)
+    else:
+        sidecar.unlink(missing_ok=True)
 
 
 def _json_value(value: object) -> object:
@@ -370,15 +363,146 @@ def _json_value(value: object) -> object:
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=_json_value)
+# the C string quoting that _ENCODER applies, as ensure_ascii=False selects it
+_quote = encode_basestring
 
 
-def _write_line(out: IO[str], obj: dict) -> None:
+def _encode(obj: object) -> str:
     try:
-        line = _ENCODER.encode(obj)
+        return _ENCODER.encode(obj)
     except RecursionError:  # a loaded raw payload may nest almost as deep as decoding allows
         raise ArchiveError("a raw payload is nested too deeply to save") from None
-    out.write(line)
-    out.write("\n")
+
+
+def _archive_lines(archive: Archive, view: dict[str, list]) -> Iterator[str]:
+    """The archive's lines in key order: apps, reviews, releases, scores.
+
+    A review or score line whose fields hold exactly their declared types
+    (``str``, ``int`` and not ``bool``, ``date`` and not ``datetime``, a
+    ``dict`` raw payload) comes from one f-string in the encoder's sorted
+    key order; any other line is encoded whole, as are app and release
+    lines. The same pass gathers the scored view: when every review is
+    scored and names a known app, its columns, app ids and releases are
+    put in ``view`` once the last line is made.
+    """
+    apps, reviews, scores = archive.apps, archive.reviews, archive.scores
+    view_holds = scores.keys() >= reviews.keys()
+    app_ids = sorted(apps)
+    app_columns = {}
+    for app_id in app_ids:
+        app = apps[app_id]
+        yield _encode(_entity_to_json("app", app, is_free=app.is_free)) + "\n"
+        app_columns[app_id] = (app.app_id, app.primary_category, app.is_free, app.price)
+
+    quote, date = _quote, dt.date
+    # ScoredRow fields, with the score object in place of combined, and the
+    # review in place of a text length not yet measured
+    rows = []
+    for key in sorted(reviews):
+        r = reviews[key]
+        if (
+            type(r) is Review
+            and type(r.app_id) is type(r.app_version) is type(r.author) is str
+            and type(r.body) is type(r.review_id) is type(r.title) is str
+            and type(r.rating) is type(r.helpful_votes) is int
+            and type(r.date) is date
+            and type(r.raw) is dict
+        ):
+            day, length = r.date.isoformat(), len(r.title) + len(r.body)
+            yield (
+                f'{{"app_id": {quote(r.app_id)}, "app_version": {quote(r.app_version)}, '
+                f'"author": {quote(r.author)}, "body": {quote(r.body)}, "date": "{day}", '
+                f'"helpful_votes": {r.helpful_votes}, "kind": "review", "rating": {r.rating}, '
+                f'"raw": {_encode(r.raw) if r.raw else "{}"}, '
+                f'"review_id": {quote(r.review_id)}, "title": {quote(r.title)}}}\n'
+            )
+        else:
+            day = r.date  # the encoder's default writes a date like the line does
+            length = r  # measured once every line is made, as scored_rows() does
+            yield _encode(_entity_to_json("review", r)) + "\n"
+        if view_holds:
+            app = app_columns.get(r.app_id)
+            if app is None:
+                view_holds = False
+            else:
+                rows.append((*app, r.rating, day, scores[key], length))
+
+    releases = []
+    for key in sorted(archive.releases):
+        release = archive.releases[key]
+        yield _encode(_entity_to_json("release", release)) + "\n"
+        releases.append((release.app_id, release.version, release.date))
+
+    combined_of = {}  # id(score) -> (combined, its text): one combine per score object
+    for (app_id, review_id), score in sorted(scores.items()):
+        combined = combined_of.get(id(score))
+        if combined is None:
+            value = combine(score)
+            combined = combined_of[id(score)] = (value, format_combined(value))
+        if (
+            type(score) is SentimentScore
+            and type(score.positive) is type(score.negative) is int
+            and type(app_id) is type(review_id) is str
+        ):
+            yield (
+                f'{{"app_id": {quote(app_id)}, "combined": "{combined[1]}", "kind": "score", '
+                f'"negative": {score.negative}, "positive": {score.positive}, '
+                f'"review_id": {quote(review_id)}}}\n'
+            )
+        else:
+            line = _entity_to_json(
+                "score", score, app_id=app_id, review_id=review_id, combined=combined[1]
+            )
+            yield _encode(line) + "\n"
+
+    if view_holds:
+        columns = list(zip(*rows)) or [()] * len(ScoredRow._fields)
+        columns[6] = [combined_of[id(score)][0] for score in columns[6]]
+        columns[7] = [n if type(n) is int else n.text_length for n in columns[7]]
+        view.update(columns=dict(zip(ScoredRow._fields, columns)), apps=app_ids, releases=releases)
+
+
+def _write_chunks(out: IO[bytes], lines: Iterator[str]) -> list[int]:
+    """Write lines as UTF-8; return the byte length and CRC-32 written.
+
+    Lines are joined and encoded about 256k characters at a time: a
+    chunk of 2048 lines raised the peak RSS of saving long reviews by
+    7 MiB, and the whole file at once that of ``score`` by 25 MiB.
+    """
+    key = [0, 0]
+    chunk: list[str] = []
+
+    def write() -> None:
+        data = _utf8(chunk)
+        out.write(data)
+        key[0] += len(data)
+        key[1] = zlib.crc32(data, key[1])
+        chunk.clear()
+
+    pending = 0
+    try:
+        for line in lines:
+            chunk.append(line)
+            pending += len(line)
+            if pending >= 1 << 18:
+                write()
+                pending = 0
+    except Exception:
+        # a line made before the failing one that UTF-8 cannot encode fails
+        # first, as when each line was encoded as it was made
+        _utf8(chunk)
+        raise
+    write()
+    return key
+
+
+def _utf8(chunk: list[str]) -> bytes:
+    try:
+        return "".join(chunk).encode("utf-8")
+    except UnicodeEncodeError:
+        for line in chunk:  # raise at the position in its line, as a text-mode write does
+            line.encode("utf-8")
+        raise
 
 
 def load_archive(path: str | Path) -> Archive:
@@ -538,17 +662,11 @@ def _archive_key(path: Path) -> list[int]:
     return [size, crc]
 
 
-def _write_view(view: ScoredView, key: list[int], path: Path) -> None:
-    columns = list(zip(*view.rows)) or [()] * len(ScoredRow._fields)
-    payload = {
-        "version": VIEW_VERSION,
-        "key": key,
-        "columns": dict(zip(ScoredRow._fields, columns)),
-        "apps": sorted(view.apps),
-        "releases": [(r.app_id, r.version, r.date) for _, r in sorted(view.releases.items())],
-    }
+def _write_view(view: dict[str, list], key: list[int], path: Path) -> None:
+    """The sidecar of the archive bytes ``key`` describes; ``view`` holds its
+    columns, app ids and releases."""
     with path.open("w", encoding="utf-8", newline="\n") as out:
-        out.write(_ENCODER.encode(payload))
+        out.write(_ENCODER.encode({"version": VIEW_VERSION, "key": key, **view}))
 
 
 def _read_view(path: Path) -> ScoredView:

@@ -1,10 +1,11 @@
 """Shared builders for archive-based tests, the stub store endpoint, and
-the reference scorer, emoji substitution and archive loader that the
-fast paths in ``reviewsent`` are checked against."""
+the reference scorer, emoji substitution, archive loader and archive
+writer that the fast paths in ``reviewsent`` are checked against."""
 
 from __future__ import annotations
 
 import datetime as dt
+import io
 import json
 import logging
 import multiprocessing
@@ -16,13 +17,15 @@ import subprocess
 import sys
 import time
 import unicodedata
-from collections.abc import Iterator
+import zlib
+from collections.abc import Iterator, Mapping
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from reviewsent import AppRecord, Archive, Review, SentimentScore, engine
-from reviewsent.combine import combine, parse_combined
+from reviewsent.combine import combine, format_combined, parse_combined
 from reviewsent.emojis import SUBSTITUTIONS, EmojiLexicon
 from reviewsent.engine import BOOSTER_WINDOW
 from reviewsent.lexicon import Lexicon, emoticon_pattern
@@ -614,3 +617,67 @@ def reference_scored_rows(archive: Archive) -> list[ScoredRow]:
             )
         )
     return rows
+
+
+def _reference_json_value(value: object) -> object:
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if isinstance(value, Mapping):
+        return dict(value)
+    raise TypeError(f"cannot archive {type(value).__name__}")
+
+
+def _reference_json(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, default=_reference_json_value)
+
+
+def _reference_line(kind: str, entity, **extra) -> str:
+    line = {f.name: getattr(entity, f.name) for f in fields(entity)}
+    line.update(kind=kind, **extra)
+    try:
+        return _reference_json(line)
+    except RecursionError:
+        raise ArchiveError("a raw payload is nested too deeply to save") from None
+
+
+def reference_archive_text(archive: Archive) -> tuple[str, str | None]:
+    """The archive text that ``store.save_archive`` writes, and its
+    sidecar's text (``None`` when the archive has no scored view), made
+    one whole ``json.dumps`` line at a time: every entity's dataclass
+    fields, ``kind`` and the extras. Each line is written to a UTF-8 text
+    stream as it is made, so a string that UTF-8 cannot encode (a lone
+    surrogate) raises as a text-mode archive file raises."""
+    buffer = io.BytesIO()
+    out = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+
+    def write(line: str) -> None:
+        out.write(line)
+        out.write("\n")
+
+    for app_id in sorted(archive.apps):
+        app = archive.apps[app_id]
+        write(_reference_line("app", app, is_free=app.is_free))
+    for key in sorted(archive.reviews):
+        write(_reference_line("review", archive.reviews[key]))
+    for key in sorted(archive.releases):
+        write(_reference_line("release", archive.releases[key]))
+    for (app_id, review_id), score in sorted(archive.scores.items()):
+        combined = format_combined(combine(score))
+        write(_reference_line("score", score, app_id=app_id, review_id=review_id, combined=combined))
+    out.flush()
+    data = buffer.getvalue()
+    try:
+        rows = reference_scored_rows(archive)
+    except ArchiveError:
+        return data.decode("utf-8"), None
+    view = {
+        "version": 1,
+        "key": [len(data), zlib.crc32(data)],
+        "columns": {name: [getattr(row, name) for row in rows] for name in ScoredRow._fields},
+        "apps": sorted(archive.apps),
+        "releases": [
+            (r.app_id, r.version, r.date)
+            for _, r in sorted(archive.releases.items())
+        ],
+    }
+    return data.decode("utf-8"), _reference_json(view)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -15,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewsent.cli import main
-from reviewsent.store import load_archive, save_archive
+from reviewsent.store import Archive, load_archive, save_archive
 
 from helpers import (
+    add_scored_review,
     feed_item,
     force_split,
     lookup_payload,
+    make_app,
     random_archive,
     run_python,
     unscored_text_archive,
@@ -565,6 +568,50 @@ def test_summarize_on_current_sidecar_never_parses_archive(tmp_path, fixture_arc
     report = tmp_path / "summary.csv"
     assert run(["summarize", "--archive", fixture_archive, "--out", report]) == 0
     assert report.read_bytes() == expected.read_bytes()
+
+
+# each writer imports the CLI, then waits for the start signal on stdin
+CONCURRENT_INGEST = "import sys; from reviewsent.cli import main; sys.stdin.read(); sys.exit(main())"
+
+
+def test_concurrent_ingests_lose_no_update(tmp_path):
+    archive, logs = tmp_path / "archive.jsonl", tmp_path / "logs"
+    logs.mkdir()
+    save_archive(random_archive(random.Random(1), n_reviews=2000), archive)
+    writers = []
+    # imports of different sizes: without the lock held from load to write,
+    # a writer that loaded the archive before another saved it saves later
+    # and drops that writer's reviews
+    for k, size in enumerate([20, 4000, 16000]):
+        part = Archive()
+        part.add_app(make_app(f"new{k}"))
+        for i in range(size):
+            add_scored_review(part, f"new{k}", f"r{i}", 2)
+        save_archive(part, logs / f"import{k}.jsonl")
+        argv = ["ingest", "--archive", archive, "--import-archive", logs / f"import{k}.jsonl"]
+        with (logs / f"out{k}").open("w") as out, (logs / f"err{k}").open("w") as err:
+            process = subprocess.Popen(
+                [sys.executable, "-c", CONCURRENT_INGEST, *map(str, argv)],
+                stdin=subprocess.PIPE, stdout=out, stderr=err,
+                env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            )
+        writers.append((part, process))
+    time.sleep(0.5)  # until every writer waits, so that they race
+    for _, process in writers:
+        process.stdin.close()
+    final_exits = [process.wait(timeout=60) for _, process in writers]
+    final = load_archive(archive)
+    for k, ((part, _), code) in enumerate(zip(writers, final_exits)):
+        if code == 0:
+            assert part.reviews.keys() <= final.reviews.keys()
+        else:
+            assert code == 1
+            assert "locked by another writer" in (logs / f"err{k}").read_text()
+            assert not part.reviews.keys() & final.reviews.keys()
+    assert 0 in final_exits
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "archive.jsonl", "archive.jsonl.view", "logs"
+    ]
 
 
 @pytest.mark.parametrize("sidecar", ["current", "deleted"])

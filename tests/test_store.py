@@ -7,11 +7,12 @@ import json
 import logging
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reviewsent import store
@@ -37,6 +38,7 @@ from helpers import (
     make_app,
     make_review,
     random_archive,
+    reference_archive_text,
     reference_load_archive,
     reference_scored_rows,
     score_for_combined,
@@ -287,17 +289,17 @@ def test_failed_save_keeps_old_archive_and_leaves_no_tmp(tmp_path, monkeypatch):
     before = path.read_bytes()
     view_before = store.view_path(path).read_bytes()
 
-    write_line = store._write_line
+    quote = store._quote
     calls = 0
 
-    def failing_write_line(out, obj):
+    def failing_quote(text):
         nonlocal calls
         calls += 1
-        if calls == 10:  # partway through the review lines
+        if calls == 10:  # partway through the review lines: six strings in each
             raise OSError("disk full")
-        write_line(out, obj)
+        return quote(text)
 
-    monkeypatch.setattr(store, "_write_line", failing_write_line)
+    monkeypatch.setattr(store, "_quote", failing_quote)
     replacement = random_archive(random.Random(4), n_reviews=20)
     with pytest.raises(OSError, match="disk full"):
         save_archive(replacement, path)
@@ -306,7 +308,7 @@ def test_failed_save_keeps_old_archive_and_leaves_no_tmp(tmp_path, monkeypatch):
     assert store.view_path(path).read_bytes() == view_before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "archive.jsonl.view"]
 
-    monkeypatch.setattr(store, "_write_line", write_line)
+    monkeypatch.setattr(store, "_quote", quote)
     save_archive(replacement, path)  # lock released
     assert load_archive(path) == replacement
 
@@ -593,6 +595,193 @@ def test_scored_rows_equal_reference_rows(archive):
         save_archive(archive, path)
         # a loaded archive shares one score object per distinct score
         assert load_archive(path).scored_rows() == expected
+
+
+# --- the writer against its reference ---------------------------------------
+
+
+class TextSubclass(str):
+    """A str subclass: JSON writes its text, but the writer's fast path takes only str."""
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class TaggedReview(Review):
+    """A review with one field more, which its archive line holds too."""
+
+    tag: str = "t"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class TaggedScore(SentimentScore):
+    """A score with one field more, which its archive line holds too."""
+
+    tag: str = "t"
+
+
+WRITER_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(["", "ünï 😀", "\u2028 \u2029", "\x00\x1f\x7f\x9f", '"\\/', "a\nb\rc\td"]),
+)
+BIG_INTS = st.sampled_from([2**63, -(2**100), 10**1000])
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), BIG_INTS, st.floats(), WRITER_TEXT)
+RAW = st.one_of(
+    st.just({}),
+    st.dictionaries(WRITER_TEXT, JSON_LEAVES, max_size=3),
+    st.dictionaries(st.integers(-3, 3), JSON_LEAVES, max_size=2),  # keys JSON converts
+    st.recursive(
+        st.dictionaries(WRITER_TEXT, JSON_LEAVES, max_size=2),
+        lambda inner: st.dictionaries(
+            WRITER_TEXT, inner | st.lists(inner, max_size=2) | inner.map(MappingProxyType),
+            max_size=2,
+        ),
+        max_leaves=6,
+    ),
+    st.dictionaries(WRITER_TEXT, JSON_LEAVES, max_size=2).map(MappingProxyType),
+)
+ODD_REVIEW_FIELDS = st.sampled_from([
+    # lone surrogates, which UTF-8 cannot encode
+    ("title", "\udc80"), ("author", "x\ud800y"), ("body", "\udfff\ud800"),
+    ("raw", {"\udc80": 0}),
+    ("raw", {0: 0, "x": 1}),  # keys that cannot be sorted together
+    # 10**4300, one digit more than str() allows, built when drawn: its repr raises
+    ("helpful_votes", 4300),
+    # values of other types than declared, which the encoder writes as they are
+    ("app_id", 7), ("app_version", None), ("author", 7), ("body", None), ("review_id", 7),
+    ("title", None), ("date", "2016-01-04"), ("date", None), ("raw", None), ("raw", []),
+]).map(lambda odd: ("helpful_votes", 10**4300) if odd == ("helpful_votes", 4300) else odd)
+WRITER_DATES = st.one_of(
+    st.dates(), st.dates(), st.datetimes(dt.datetime(1, 1, 1), dt.datetime(2100, 1, 1))
+)
+
+
+@st.composite
+def writer_text(draw) -> str:
+    """Mostly str, now and then a str subclass."""
+    return _rarely(draw, WRITER_TEXT, WRITER_TEXT.map(TextSubclass))
+
+
+def _rarely(draw, usual, odd):
+    """A value drawn from ``usual``, or now and then from ``odd``."""
+    # a value inside the range: hypothesis draws the ends of a range often
+    return draw(odd if draw(st.integers(0, 5)) == 3 else usual)
+
+
+@st.composite
+def writer_archives(draw) -> Archive:
+    """Entities holding every value the fast path must hand to the reference
+    encoding: non-ASCII, control characters, U+2028, lone surrogates, str
+    subclasses, bools and big ints in int fields, datetimes in dates,
+    empty, flat, nested and non-dict raw mappings, values of undeclared
+    types, and subclasses of ``Review`` and ``SentimentScore`` with a
+    field more. Some reviews are unscored or name an app that is not in
+    the archive."""
+    archive = Archive()
+    for a in range(draw(st.integers(0, 3))):
+        archive.add_app(
+            AppRecord(
+                app_id=f"app{a}{draw(WRITER_TEXT)}",
+                name=draw(writer_text()),
+                primary_category=draw(writer_text()),
+                price=draw(st.sampled_from([0.0, 0.99, 1e-7, 1234.5])),
+                current_version=draw(writer_text()),
+                raw_details=draw(RAW),
+            )
+        )
+    app_ids = sorted(archive.apps) + ["no such app"] * draw(st.integers(0, 1)) or ["no app"]
+    scores = [
+        _rarely(draw, st.just(SentimentScore), st.just(TaggedScore))(
+            _rarely(draw, st.integers(1, 5), st.just(True)),
+            # JSON cannot write a Fraction
+            _rarely(draw, st.integers(-5, -1), st.integers(-5, -1) | st.just(Fraction(-2))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    # about one review in four holds an odd field value; when two do, the
+    # first one's error must be the one raised
+    odd = [
+        draw(ODD_REVIEW_FIELDS) if draw(st.booleans()) and draw(st.booleans()) else None
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    for i in range(len(odd)):
+        review = _rarely(draw, st.just(Review), st.just(TaggedReview))(
+            review_id=_rarely(draw, st.just(f"r{i}"), st.just(TextSubclass(f"r{i}"))),
+            app_id=_rarely(draw, st.sampled_from(app_ids), st.sampled_from(app_ids).map(TextSubclass)),
+            author=draw(writer_text()),
+            title=draw(writer_text()),
+            body=draw(writer_text()),
+            rating=_rarely(draw, st.integers(1, 5), st.just(True)),
+            date=draw(WRITER_DATES),
+            helpful_votes=_rarely(draw, st.integers(0, 9), st.booleans() | BIG_INTS.map(abs)),
+            app_version=draw(writer_text()),
+            raw=draw(RAW),
+        )
+        if odd[i] is not None:
+            review = dataclasses.replace(review, **dict([odd[i]]))
+        archive.add_review(review)
+        if draw(st.integers(0, 9)):  # the odd review stays unscored
+            archive.set_score(review.app_id, review.review_id, draw(st.sampled_from(scores)))
+    for _ in range(draw(st.integers(0, 2))):
+        archive.add_release(
+            Release(
+                draw(st.sampled_from(app_ids)),
+                f"v{draw(writer_text())}",
+                draw(WRITER_DATES),
+                draw(writer_text()),
+            )
+        )
+    return archive
+
+
+def _outcome(write):
+    try:
+        return write()
+    except Exception as exc:  # the outcome compared: the exception's type and text
+        return type(exc), str(exc)
+
+
+def _saved(archive: Archive, path: Path) -> tuple[str, str | None]:
+    save_archive(archive, path)
+    sidecar = view_path(path)
+    view = sidecar.read_bytes().decode("utf-8") if sidecar.exists() else None
+    return path.read_bytes().decode("utf-8"), view
+
+
+def _one_review(score: SentimentScore | None = SentimentScore(3, -2), **fields) -> Archive:
+    """A one-review archive, its review holding ``fields``; unscored when
+    ``score`` is None."""
+    archive = Archive()
+    archive.add_app(make_app("app1"))
+    review = dataclasses.replace(make_review("app1", "r1"), **fields)
+    archive.add_review(review)
+    if score is not None:
+        archive.set_score(review.app_id, review.review_id, score)
+    return archive
+
+
+# one value the writer's fast path must refuse per guard: a lone review
+# has no other review's key to fail sorting against, and an unscored one
+# no text length to measure
+@example(_one_review(app_id=7))
+@example(_one_review(app_version=None))
+@example(_one_review(author=7))
+@example(_one_review(score=None, body=None))
+@example(_one_review(review_id=7))
+@example(_one_review(score=None, title=None))
+@example(_one_review(rating=True))
+@example(_one_review(helpful_votes=True))
+@example(_one_review(date="2016-01-04"))
+@example(_one_review(raw=None))
+@example(_one_review(score=SentimentScore(True, -2)))
+@example(_one_review(score=SentimentScore(3, Fraction(-2))))
+@settings(max_examples=300, deadline=None)
+@given(writer_archives())
+def test_save_writes_the_reference_bytes_or_raises_its_error(archive):
+    expected = _outcome(lambda: reference_archive_text(archive))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        assert _outcome(lambda: _saved(archive, path)) == expected
+        if isinstance(expected[0], type):  # a failed save leaves nothing behind
+            assert list(Path(tmp).iterdir()) == []
 
 
 def _flip_rating(path: Path) -> None:
