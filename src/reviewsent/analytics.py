@@ -111,6 +111,33 @@ def sample_sd(values: Sequence[float]) -> float:
     return statistics.stdev(values)
 
 
+def counted_sd(counts: Mapping[int, int]) -> float:
+    """``sample_sd`` of the integers that ``counts`` maps to their counts, to
+    the same float: the exact sum of squared deviations, then the correctly
+    rounded square root that ``statistics.stdev`` takes (Python 3.11+). The
+    cost grows with the distinct values, not with their count."""
+    n = sum(counts.values())
+    if not n:
+        raise ValueError("sd of empty data")
+    if n == 1:
+        return 0.0
+    total = sum(value * count for value, count in counts.items())
+    squares = sum(value * value * count for value, count in counts.items())
+    # variance = (n * squares - total**2) / (n * (n - 1)), as a fraction num / den
+    num, den = n * squares - total * total, n * (n - 1)
+    # round to odd on 2 * 53 + 3 bits, then once to float: correctly rounded
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        return float(_isqrt_round_to_odd(num, den << 2 * shift) << shift)
+    return _isqrt_round_to_odd(num << -2 * shift, den) / (1 << -shift)
+
+
+def _isqrt_round_to_odd(num: int, den: int) -> int:
+    """sqrt(num / den) rounded down, with its last bit set when inexact."""
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
+
+
 def _check_pairs(xs: Sequence[float], ys: Sequence[float]) -> None:
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
@@ -178,15 +205,17 @@ def _summarize_category(category: str, members: list[ScoredRow]) -> CategorySumm
     # count each combined value, then classify the few distinct values:
     # hashing a Polarity member per row cost an eighth of `summarize`
     shares = {polarity: 0 for polarity in Polarity}
-    for combined, count in Counter(row.combined for row in members).items():
+    counts = Counter(row.combined for row in members)
+    for combined, count in counts.items():
         shares[polarity_class(combined)] += count
+    counts.pop(None, None)
     return CategorySummary(
         category=category,
         n_free=n_free,
         n_paid=total - n_free,
         n_scored=len(defined),
         mean=statistics.fmean(defined) if defined else None,
-        sd=sample_sd(defined) if defined else None,
+        sd=counted_sd(counts) if defined else None,
         median=quantile(defined, 0.5) if defined else None,
         share_positive=shares[Polarity.POSITIVE] / total if total else 0.0,
         share_neutral=shares[Polarity.NEUTRAL] / total if total else 0.0,

@@ -9,7 +9,10 @@ one process mutates it at a time.
 Next to a fully scored archive the writer also keeps a scored-view
 sidecar (``<archive>.view``): the table the reports read, keyed by the
 archive's byte length and CRC-32, so a report can skip parsing the
-archive while the two match.
+archive while the two match. A report that finds no current sidecar
+parses the archive and, when no line was skipped, writes the sidecar
+for the bytes it parsed, best effort and without the lock, so that the
+next report skips the parse.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import logging
 import math
 import os
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import chain
@@ -299,21 +302,26 @@ def _score_from_json(obj: dict) -> SentimentScore:
     return score
 
 
+def lock_path(path: str | Path) -> Path:
+    """The writer lock of an archive: ``<archive>.lock``."""
+    return Path(f"{path}.lock")
+
+
 @contextmanager
 def archive_lock(path: str | Path):
     """Exclusive writer lock: a sibling ``.lock`` file created O_EXCL."""
-    lock_path = Path(f"{path}.lock")
+    lock = lock_path(path)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise ArchiveLockedError(
-            f"archive {path} is locked by another writer ({lock_path} exists)"
+            f"archive {path} is locked by another writer ({lock} exists)"
         ) from None
     try:
         yield
     finally:
         os.close(fd)
-        lock_path.unlink(missing_ok=True)
+        lock.unlink(missing_ok=True)
 
 
 def save_archive(archive: Archive, path: str | Path) -> None:
@@ -334,12 +342,12 @@ def write_archive(archive: Archive, path: str | Path) -> None:
     sidecar = view_path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     sidecar_tmp = sidecar.with_suffix(sidecar.suffix + ".tmp")
-    view: dict[str, list] = {}
+    view: list[list] = []
     try:
         with tmp.open("wb") as out:
             key = _write_chunks(out, _archive_lines(archive, view))
         if view:
-            _write_view(view, key, sidecar_tmp)
+            _write_view(*view, key, sidecar_tmp)
     except BaseException:
         tmp.unlink(missing_ok=True)
         sidecar_tmp.unlink(missing_ok=True)
@@ -374,7 +382,7 @@ def _encode(obj: object) -> str:
         raise ArchiveError("a raw payload is nested too deeply to save") from None
 
 
-def _archive_lines(archive: Archive, view: dict[str, list]) -> Iterator[str]:
+def _archive_lines(archive: Archive, view: list[list]) -> Iterator[str]:
     """The archive's lines in key order: apps, reviews, releases, scores.
 
     A review or score line whose fields hold exactly their declared types
@@ -456,10 +464,10 @@ def _archive_lines(archive: Archive, view: dict[str, list]) -> Iterator[str]:
             yield _encode(line) + "\n"
 
     if view_holds:
-        columns = list(zip(*rows)) or [()] * len(ScoredRow._fields)
+        columns = _columns(rows)
         columns[6] = [combined_of[id(score)][0] for score in columns[6]]
         columns[7] = [n if type(n) is int else n.text_length for n in columns[7]]
-        view.update(columns=dict(zip(ScoredRow._fields, columns)), apps=app_ids, releases=releases)
+        view += columns, app_ids, releases
 
 
 def _write_chunks(out: IO[bytes], lines: Iterator[str]) -> list[int]:
@@ -514,12 +522,8 @@ def load_archive(path: str | Path) -> Archive:
     before being accepted. When a key repeats, the last accepted line
     wins and each line it supersedes is reported.
     """
-    archive = Archive()
     with open(path, "rb") as stream:
-        _read_archive(stream, archive)
-    if archive.load_skips:
-        log.warning("archive %s: skipped %d corrupt lines", path, len(archive.load_skips))
-    return archive
+        return _read_archive(stream, path)
 
 
 def _text_lines(data: bytes) -> list[bytes]:
@@ -532,8 +536,9 @@ def _text_lines(data: bytes) -> list[bytes]:
     ]
 
 
-def _read_archive(stream: IO[bytes], archive: Archive) -> None:
-    """``load_archive`` of a binary archive stream, into ``archive``."""
+def _read_archive(stream: IO[bytes], path: str | Path) -> Archive:
+    """``load_archive`` of ``stream``, the archive file ``path`` open in binary."""
+    archive = Archive()
     tables = {
         "app": archive.apps,
         "review": archive.reviews,
@@ -636,6 +641,9 @@ def _read_archive(stream: IO[bytes], archive: Archive) -> None:
             accept("score", key, lineno)
         except (ArchiveError, KeyError, TypeError, ValueError, OverflowError) as exc:
             skips.append((lineno, str(exc) or repr(exc)))
+    if skips:
+        log.warning("archive %s: skipped %d corrupt lines", path, len(skips))
+    return archive
 
 
 # --- scored-view sidecar ---------------------------------------------------
@@ -648,25 +656,38 @@ def view_path(path: str | Path) -> Path:
     return Path(f"{path}.view")
 
 
-def _archive_key(path: Path) -> list[int]:
-    """Byte length and CRC-32 of a file, read in 64 KiB chunks.
+def _stream_key(stream: IO[bytes]) -> list[int]:
+    """Byte length and CRC-32 of an open file from its start, read in 64 KiB chunks.
 
     The key detects a stale sidecar, not tampering: whoever can rewrite
     the archive can rewrite the sidecar too.
     """
+    stream.seek(0)
     size = crc = 0
-    with open(path, "rb") as stream:
-        while chunk := stream.read(1 << 16):
-            size += len(chunk)
-            crc = zlib.crc32(chunk, crc)
+    while chunk := stream.read(1 << 16):
+        size += len(chunk)
+        crc = zlib.crc32(chunk, crc)
     return [size, crc]
 
 
-def _write_view(view: dict[str, list], key: list[int], path: Path) -> None:
-    """The sidecar of the archive bytes ``key`` describes; ``view`` holds its
-    columns, app ids and releases."""
+def _columns(rows: list) -> list:
+    """Rows of ``ScoredRow`` fields as columns in field order; no rows, empty columns."""
+    return list(zip(*rows)) or [()] * len(ScoredRow._fields)
+
+
+def _write_view(columns: list, apps: list[str], releases: list, key: list[int], path: Path) -> None:
+    """The sidecar of the archive bytes ``key`` describes: the ``ScoredRow``
+    columns, the sorted app ids and the ``(app_id, version, date)`` of each
+    release in key order."""
+    payload = {
+        "version": VIEW_VERSION,
+        "key": key,
+        "columns": dict(zip(ScoredRow._fields, columns)),
+        "apps": apps,
+        "releases": releases,
+    }
     with path.open("w", encoding="utf-8", newline="\n") as out:
-        out.write(_ENCODER.encode({"version": VIEW_VERSION, "key": key, **view}))
+        out.write(_ENCODER.encode(payload))
 
 
 def _read_view(path: Path) -> ScoredView:
@@ -675,7 +696,9 @@ def _read_view(path: Path) -> ScoredView:
         payload = json.load(stream)
     if not isinstance(payload, dict) or payload.get("version") != VIEW_VERSION:
         raise ArchiveError("unknown sidecar version")
-    if payload["key"] != _archive_key(path):
+    with path.open("rb") as stream:
+        key = _stream_key(stream)
+    if payload["key"] != key:
         raise ArchiveError("sidecar describes other archive bytes")
     columns = payload["columns"]
     if not isinstance(columns, dict) or set(columns) != set(ScoredRow._fields):
@@ -703,15 +726,49 @@ def load_scored_view(path: str | Path) -> ScoredView:
     """The scored view of an archive, from its sidecar while that is current.
 
     A sidecar that is missing, unreadable, malformed or keyed to other
-    bytes is ignored: the view then comes from ``load_archive(path)``,
-    with its warning and its "run score first" error.
+    bytes is ignored: the archive is then parsed once, as ``load_archive``
+    parses it, with its warning and its "run score first" error. When
+    that parse skipped no line, the sidecar is written for the bytes it
+    read, so that the next report skips the parse; see ``_cache_view``.
     """
     path = Path(path)
     try:
         return _read_view(path)
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:  # ArchiveError too
         log.debug("archive %s: sidecar not used (%s)", path, exc)
-    return load_archive(path).scored_view()
+    with open(path, "rb") as stream:
+        archive = _read_archive(stream, path)
+        view = archive.scored_view()
+        clean = not archive.load_skips
+        del archive  # freed before the sidecar is encoded, which would raise the peak RSS
+        if clean:
+            _cache_view(view, stream, path)
+    return view
+
+
+def _cache_view(view: ScoredView, stream: IO[bytes], path: Path) -> None:
+    """Write the sidecar of ``view``, parsed from ``stream``, the open archive
+    ``path``, keyed to the bytes of that open file: if a writer replaced the
+    archive since, the key names the old bytes and readers ignore it.
+
+    Best effort, so that reports run on read-only archives too: no lock is
+    taken, nothing is written while a writer holds one, the sidecar goes
+    through a ``.tmp`` file of its own, and a failure is logged at DEBUG
+    level only. The bytes are those ``write_archive`` writes.
+    """
+    if lock_path(path).exists():
+        log.debug("archive %s: locked by a writer, sidecar not written", path)
+        return
+    sidecar = view_path(path)
+    tmp = Path(f"{sidecar}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    releases = [(r.app_id, r.version, r.date) for _, r in sorted(view.releases.items())]
+    try:
+        _write_view(_columns(view.rows), sorted(view.apps), releases, _stream_key(stream), tmp)
+        os.replace(tmp, sidecar)
+    except (OSError, ValueError) as exc:  # a lone surrogate raises UnicodeEncodeError
+        log.debug("archive %s: sidecar not written (%s)", path, exc)
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 # --- release import --------------------------------------------------------

@@ -5,6 +5,7 @@ writer that the fast paths in ``reviewsent`` are checked against."""
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import io
 import json
 import logging
@@ -15,6 +16,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import unicodedata
 import zlib
@@ -24,12 +26,14 @@ from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
+from hypothesis import strategies as st
+
 from reviewsent import AppRecord, Archive, Review, SentimentScore, engine
 from reviewsent.combine import combine, format_combined, parse_combined
 from reviewsent.emojis import SUBSTITUTIONS, EmojiLexicon
 from reviewsent.engine import BOOSTER_WINDOW
 from reviewsent.lexicon import Lexicon, emoticon_pattern
-from reviewsent.store import ArchiveError, Release, ScoredRow
+from reviewsent.store import ArchiveError, Release, ScoredRow, save_archive
 
 # A dual score whose combined sentiment is the given value. Note that
 # +1 and -1 are unreachable: p + n > 0 forces p >= 2, symmetrically for n.
@@ -681,3 +685,130 @@ def reference_archive_text(archive: Archive) -> tuple[str, str | None]:
         ],
     }
     return data.decode("utf-8"), _reference_json(view)
+
+
+# --- generated and byte-mutated archives -------------------------------------
+
+# few ids, so that keys repeat and scores meet their reviews; "1" and
+# "True" are what the ids 1 and true read as
+IDS = ["ü 😀", "1", "True"]
+WORDS = ["", "a body", "ünï 😀 ✓", 'q"uote\\', "two\nlines", "cr\r\nlf", "\u2028"]
+SCALARS = [True, 3, 3.0, "3", "x", None, [], -1, 0, 7, 10**30, 10**400, float("inf")]
+# combined values from few scores, so that the same score meets itself
+# written as a string, an int and a float
+COMBINED = [3, 3, -4, -4, None, *COMBINED_TO_SCORE]
+ODD_LINES = ["", "   ", "\t", "\x0b", "[1, 2]", "null", "NaN", "1" * 4400, '"text"', "{", "{}",
+             "[" * 100_000, '{"kind": ' * 100_000]
+
+
+def _archive_object(rng: random.Random, odds: int) -> dict:
+    """An app, review, release or score line; about one field in ``odds``
+    is odd and one line in ``odds`` misses a field."""
+
+    def field(valid, *odd):
+        return rng.choice(odd + tuple(SCALARS)) if rng.randrange(odds) == 0 else valid
+
+    kind = rng.choice(["app", "review", "review", "release", "score", "score", "?"])
+    app_id = field(rng.choice(IDS), 1, True)
+    date = field(dt.date(2016, 1, 4) + dt.timedelta(days=rng.randrange(400)), "2016-13-01", "")
+    date = date.isoformat() if isinstance(date, dt.date) else date
+    if kind == "app":
+        price = rng.choice([0.0, 0.99, 4.99, -1.0])
+        obj = {"app_id": app_id, "name": rng.choice(WORDS), "primary_category": rng.choice(WORDS),
+               "price": field(price, "1.5"), "current_version": "1.0",
+               "is_free": field(price == 0, price != 0), "raw_details": {"id": 7}}
+    elif kind == "review":
+        obj = {"review_id": field(rng.choice(IDS), 1, True), "app_id": app_id,
+               "author": rng.choice(WORDS), "title": rng.choice(WORDS), "body": rng.choice(WORDS),
+               "rating": field(rng.randint(1, 5), 0, 6, "4"), "date": date,
+               "helpful_votes": field(rng.randint(0, 3), -2),
+               "app_version": "1.0", "raw": {"k": [1, "two"]}}
+    elif kind == "release":
+        obj = {"app_id": app_id, "version": field(rng.choice(IDS), ""), "date": date,
+               "notes": rng.choice(WORDS)}
+    elif kind == "score":
+        combined = rng.choice(COMBINED)
+        positive, negative = COMBINED_TO_SCORE[combined]
+        as_read = ("undefined",) if combined is None else (combined, float(combined))
+        obj = {"app_id": app_id, "review_id": field(rng.choice(IDS), 1, True),
+               "positive": field(positive, 3.0, 0, 6, float("nan")),
+               "negative": field(negative, -4.0, "-2", 0, -6),
+               "combined": field(format_combined(combined), *as_read, "2", "6", "-0")}
+    else:
+        obj = {}
+    obj = {**obj, "kind": kind}
+    if rng.randrange(odds) == 0:
+        del obj[rng.choice(sorted(obj))]
+    return obj
+
+
+def _archive_line(rng: random.Random, odds: int, obj: dict) -> str:
+    """``obj`` as an archive line with its ending; one line in ``odds``
+    is altered or replaced by an odd one."""
+    text = json.dumps(obj, ensure_ascii=rng.random() < 0.5, sort_keys=rng.random() < 0.5)
+    if rng.randrange(odds) == 0:
+        form = rng.choice(["bom", "leading", "trailing", "text", "cut", "odd"])
+        if form == "bom":
+            text = "\ufeff" + text
+        elif form == "leading":
+            text = " " + text
+        elif form == "trailing":
+            text += " \t"
+        elif form == "text":
+            text += " x"
+        elif form == "cut":
+            text = text[: rng.randrange(1, len(text))]
+        else:
+            text = rng.choice(ODD_LINES)
+    return text + rng.choice(["\n"] * 8 + ["\r\n", "\r"])
+
+
+@st.composite
+def archive_files(draw) -> str:
+    """Archive text: lines valid, altered or odd, repeated keys, scores
+    before and after their reviews, the last line with or without its
+    newline."""
+    rng = draw(st.randoms(use_true_random=True))
+    odds = rng.choice([3, 30])  # messy or mostly valid
+    objects = [_archive_object(rng, odds) for _ in range(draw(st.integers(0, 40)))]
+    reviews = [
+        o for o in objects if o.get("kind") == "review" and {"app_id", "review_id"} <= o.keys()
+    ]
+    for at, obj in enumerate(objects):
+        if obj.get("kind") == "score" and reviews and rng.randrange(5):
+            review = rng.choice(reviews)  # its key, as read or as written
+            objects[at] = {**obj, "app_id": review["app_id"], "review_id": review["review_id"]}
+    text = "".join(_archive_line(rng, odds, obj) for obj in objects)
+    return text if rng.random() < 0.5 else text.rstrip("\n")
+
+
+@functools.cache
+def small_scored_archive() -> bytes:
+    """The bytes of a saved 4-review scored archive, to be mutated."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        save_archive(random_archive(random.Random(3), n_apps=2, n_reviews=4), path)
+        return path.read_bytes()
+
+
+# (offset, byte, how): the byte is written over, put before, or removed;
+# the offset wraps around the archive's length
+BYTE_EDITS = st.tuples(
+    st.integers(0, 1 << 16),
+    st.sampled_from(b'[]{}",:-.0159eEInfty \n\r\xff'),
+    st.sampled_from(["replace", "insert", "delete"]),
+)
+
+
+def mutated(data: bytes, edits: list[tuple[int, int, str]]) -> bytes:
+    """``data`` with each of ``BYTE_EDITS``'s edits applied in turn."""
+    data = bytearray(data)
+    for offset, byte, how in edits:
+        offset %= len(data)
+        if how == "replace":
+            data[offset] = byte
+        elif how == "insert":
+            data.insert(offset, byte)
+        elif len(data) > 1:
+            del data[offset]
+    return bytes(data)

@@ -3,15 +3,19 @@
 import io
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewsent.analytics import (
     DispersionStats,
     Topic,
     average_ranks,
+    counted_sd,
     dispersion_by_topic,
     overall_summary,
     parse_topic_rows,
@@ -28,7 +32,7 @@ from reviewsent.analytics import (
 from reviewsent.combine import Polarity, polarity_class
 from reviewsent.store import Archive
 
-from helpers import archive_with_combined, make_app, add_scored_review, random_archive
+from helpers import COMBINED_TO_SCORE, archive_with_combined, make_app, add_scored_review, random_archive
 
 
 # --- independent oracles ---------------------------------------------------
@@ -79,6 +83,29 @@ def test_sample_sd_conventions():
 
 
 # --- correlations ----------------------------------------------------------------
+
+
+DEFINED_COMBINED = [value for value in COMBINED_TO_SCORE if value is not None]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(DEFINED_COMBINED), min_size=1, max_size=50),
+        # few distinct values with large counts, as in a big category
+        st.dictionaries(st.sampled_from(DEFINED_COMBINED), st.integers(1, 3000), min_size=1)
+        .map(lambda counts: [v for v, c in counts.items() for _ in range(c)]),
+    )
+)
+def test_counted_sd_is_sample_sd(values):
+    assert counted_sd(Counter(values)) == sample_sd(values)
+
+
+def test_counted_sd_conventions():
+    assert counted_sd({4: 1}) == 0.0
+    assert counted_sd({-3: 7}) == 0.0
+    with pytest.raises(ValueError):
+        counted_sd({})
 
 
 def test_pearson_perfect_linear():

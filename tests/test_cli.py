@@ -1,6 +1,5 @@
 """Command-line pipeline: wiring, determinism, and failure modes."""
 
-import functools
 import multiprocessing
 import os
 import random
@@ -15,17 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reviewsent import cli, store
 from reviewsent.cli import main
 from reviewsent.store import Archive, load_archive, save_archive
 
 from helpers import (
+    BYTE_EDITS,
     add_scored_review,
     feed_item,
     force_split,
     lookup_payload,
     make_app,
+    mutated,
     random_archive,
     run_python,
+    small_scored_archive,
     unscored_text_archive,
 )
 
@@ -511,60 +514,136 @@ def _scored_with_releases(tmp_path, archive) -> Path:
     return archive
 
 
-def _reports(archive, out_dir) -> dict[str, bytes]:
+def _reports(archive, out_dir, capsys) -> dict[str, tuple[bytes, str, str]]:
+    """Each report's CSV, stdout and stderr; every report must exit 0."""
     out_dir.mkdir()
+    outputs = {}
     for name, (command, *flags) in REPORTS.items():
         out = out_dir / f"{name}.csv"
+        capsys.readouterr()
         assert run([command, "--archive", archive, *flags, "--out", out]) == 0
-    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        outputs[name] = (out.read_bytes(), *capsys.readouterr())
+    return outputs
 
 
 def _listing(directory) -> dict[str, int]:
     return {path.name: path.stat().st_mtime_ns for path in directory.iterdir()}
 
 
-def test_reports_identical_with_and_without_sidecar(tmp_path, fixture_archive):
-    archive = _scored_with_releases(tmp_path, fixture_archive)
-    sidecar = Path(f"{archive}.view")
-    assert sidecar.is_file()
-    with_sidecar = _reports(archive, tmp_path / "hit")
-    sidecar.unlink()
-    without_sidecar = _reports(archive, tmp_path / "miss")
-    assert not sidecar.exists()  # reports never write the sidecar
-    assert len(with_sidecar) == 5
-    assert with_sidecar == without_sidecar
-
-
-def test_reports_in_read_only_directory_create_no_file(tmp_path):
+def _scored_data_dir(tmp_path) -> Path:
+    """A scored archive with releases, alone in its own directory."""
     data = tmp_path / "data"
     data.mkdir()
     archive = data / "archive.jsonl"
     save_archive(unscored_text_archive(random.Random(12), n_apps=3, n_reviews=40), archive)
-    _scored_with_releases(tmp_path, archive)
-    Path(f"{archive}.view").unlink()  # a miss is where a report could be tempted to write
-    before = _listing(data)
-    data.chmod(0o555)
+    return _scored_with_releases(tmp_path, archive)
+
+
+def _forbid_parse(monkeypatch) -> None:
+    def no_parse(*args):
+        raise AssertionError(f"archive parsed: {args}")
+
+    for module, name in (store, "_read_archive"), (store, "load_archive"), (cli, "load_archive"):
+        monkeypatch.setattr(module, name, no_parse)
+
+
+def test_reports_identical_with_and_without_sidecar(tmp_path, fixture_archive, monkeypatch, capsys):
+    archive = _scored_with_releases(tmp_path, fixture_archive)
+    sidecar = Path(f"{archive}.view")
+    written = sidecar.read_bytes()  # by score
+    with_sidecar = _reports(archive, tmp_path / "hit", capsys)
+    sidecar.unlink()
+    parses = []
+    read_archive = store._read_archive
+    monkeypatch.setattr(store, "_read_archive", lambda *a: parses.append(a[1]) or read_archive(*a))
+    without_sidecar = _reports(archive, tmp_path / "miss", capsys)
+    # the first report parsed and wrote the sidecar that score wrote; the others hit it
+    assert parses == [archive]
+    assert sidecar.read_bytes() == written
+    _forbid_parse(monkeypatch)
+    rewritten_sidecar = _reports(archive, tmp_path / "rewritten", capsys)
+    assert len(with_sidecar) == 5
+    assert with_sidecar == without_sidecar == rewritten_sidecar
+
+
+def test_reports_in_read_only_directory_succeed_unchanged(tmp_path, capsys):
+    archive = _scored_data_dir(tmp_path)
+    sidecar = Path(f"{archive}.view")
+    written = sidecar.read_bytes()
+    expected = _reports(archive, tmp_path / "hit", capsys)
+    sidecar.unlink()  # a miss is where a report writes
+    before = _listing(archive.parent)
+    archive.parent.chmod(0o555)
     try:
-        reports = _reports(archive, tmp_path / "out")
+        reports = _reports(archive, tmp_path / "out", capsys)
     finally:
-        data.chmod(0o755)
-    assert len(reports) == 5
-    assert _listing(data) == before
+        archive.parent.chmod(0o755)
+    assert reports == expected
+    # root ignores the mode: then the sidecar appears, as score wrote it
+    after = _listing(archive.parent)
+    if after.pop(sidecar.name, None) is not None:
+        assert sidecar.read_bytes() == written
+    assert after == before
+
+
+@pytest.mark.parametrize("fails", ["_write_view", "replace"])
+def test_reports_whose_sidecar_write_fails_change_nothing(tmp_path, monkeypatch, capsys, fails):
+    archive = _scored_data_dir(tmp_path)
+    expected = _reports(archive, tmp_path / "hit", capsys)
+    Path(f"{archive}.view").unlink()
+    before = _listing(archive.parent)
+
+    def fail(*args):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(*((store, "_write_view") if fails == "_write_view" else (os, "replace")), fail)
+    assert _reports(archive, tmp_path / "miss", capsys) == expected
+    assert _listing(archive.parent) == before  # no sidecar and no .tmp file
+
+
+def test_reports_under_a_writers_lock_write_no_sidecar_and_keep_it(tmp_path, capsys):
+    archive = _scored_data_dir(tmp_path)
+    expected = _reports(archive, tmp_path / "hit", capsys)
+    Path(f"{archive}.view").unlink()
+    Path(f"{archive}.lock").touch()
+    before = _listing(archive.parent)
+    assert _reports(archive, tmp_path / "locked", capsys) == expected
+    assert _listing(archive.parent) == before
+
+
+def test_ingest_during_a_reports_sidecar_write_succeeds(tmp_path, monkeypatch, capsys):
+    archive = _scored_data_dir(tmp_path)
+    Path(f"{archive}.view").unlink()
+    part = Archive()
+    part.add_app(make_app("new"))
+    for i in range(5):
+        add_scored_review(part, "new", f"r{i}", 2)
+    save_archive(part, tmp_path / "part.jsonl")
+    ingest = ["ingest", "--archive", archive, "--import-archive", tmp_path / "part.jsonl"]
+    codes = []
+    write_view = store._write_view
+
+    def ingest_first(*args):
+        if not codes:  # the report's write; the ingest's own write passes through
+            codes.append(None)
+            codes[0] = run(ingest)
+        return write_view(*args)
+
+    monkeypatch.setattr(store, "_write_view", ingest_first)
+    assert run(["summarize", "--archive", archive]) == 0
+    assert codes == [0]
+    assert "45 reviews" in capsys.readouterr().out
+    # the report's sidecar names the bytes it parsed, so it cannot hide the ingest
+    view = store.load_scored_view(archive)
+    assert len(view.rows) == 45 and view == load_archive(archive).scored_view()
+    assert sorted(p.name for p in archive.parent.iterdir()) == ["archive.jsonl", "archive.jsonl.view"]
 
 
 def test_summarize_on_current_sidecar_never_parses_archive(tmp_path, fixture_archive, monkeypatch):
-    import reviewsent.cli as cli
-    import reviewsent.store as store
-
     assert run(["score", "--archive", fixture_archive]) == 0
     expected = tmp_path / "expected.csv"
     assert run(["summarize", "--archive", fixture_archive, "--out", expected]) == 0
-
-    def no_parse(path):
-        raise AssertionError(f"archive {path} parsed")
-
-    monkeypatch.setattr(store, "load_archive", no_parse)
-    monkeypatch.setattr(cli, "load_archive", no_parse)
+    _forbid_parse(monkeypatch)
     report = tmp_path / "summary.csv"
     assert run(["summarize", "--archive", fixture_archive, "--out", report]) == 0
     assert report.read_bytes() == expected.read_bytes()
@@ -734,36 +813,10 @@ def test_raw_payload_at_any_depth_ends_every_command_cleanly(tmp_path):
         _run_every_command(archive)
 
 
-@functools.cache
-def _small_scored_archive() -> bytes:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "archive.jsonl"
-        save_archive(random_archive(random.Random(3), n_apps=2, n_reviews=4), path)
-        return path.read_bytes()
-
-
-# (offset, byte, how): the byte is written over, put before, or removed;
-# the offset wraps around the archive's length
-BYTE_EDITS = st.tuples(
-    st.integers(0, 1 << 16),
-    st.sampled_from(b'[]{}",:-.0159eEInfty \n\r\xff'),
-    st.sampled_from(["replace", "insert", "delete"]),
-)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(BYTE_EDITS, min_size=1, max_size=6))
 def test_mutated_archive_never_raises(edits):
-    data = bytearray(_small_scored_archive())
-    for offset, byte, how in edits:
-        offset %= len(data)
-        if how == "replace":
-            data[offset] = byte
-        elif how == "insert":
-            data.insert(offset, byte)
-        elif len(data) > 1:
-            del data[offset]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "archive.jsonl"
-        path.write_bytes(bytes(data))
+        path.write_bytes(mutated(small_scored_archive(), edits))
         _run_every_command(path)

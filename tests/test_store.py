@@ -5,6 +5,7 @@ import datetime as dt
 import io
 import json
 import logging
+import os
 import random
 import tempfile
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reviewsent import store
-from reviewsent.combine import combine, format_combined
+from reviewsent.combine import combine
 from reviewsent.engine import SentimentScore
 from reviewsent.store import (
     AppRecord,
@@ -27,6 +28,7 @@ from reviewsent.store import (
     Review,
     archive_lock,
     import_releases,
+    lock_path,
     load_archive,
     load_scored_view,
     save_archive,
@@ -34,14 +36,18 @@ from reviewsent.store import (
 )
 
 from helpers import (
+    BYTE_EDITS,
     COMBINED_TO_SCORE,
+    archive_files,
     make_app,
     make_review,
+    mutated,
     random_archive,
     reference_archive_text,
     reference_load_archive,
     reference_scored_rows,
     score_for_combined,
+    small_scored_archive,
 )
 
 
@@ -390,99 +396,6 @@ def test_superseded_lines_match_a_map_of_every_key(entries):
 
 # --- the loader against its reference -------------------------------------------
 
-# few ids, so that keys repeat and scores meet their reviews; "1" and
-# "True" are what the ids 1 and true read as
-IDS = ["ü 😀", "1", "True"]
-WORDS = ["", "a body", "ünï 😀 ✓", 'q"uote\\', "two\nlines", "cr\r\nlf", "\u2028"]
-SCALARS = [True, 3, 3.0, "3", "x", None, [], -1, 0, 7, 10**30, 10**400, float("inf")]
-# combined values from few scores, so that the same score meets itself
-# written as a string, an int and a float
-COMBINED = [3, 3, -4, -4, None, *COMBINED_TO_SCORE]
-ODD_LINES = ["", "   ", "\t", "\x0b", "[1, 2]", "null", "NaN", "1" * 4400, '"text"', "{", "{}",
-             "[" * 100_000, '{"kind": ' * 100_000]
-
-
-def _archive_object(rng: random.Random, odds: int) -> dict:
-    """An app, review, release or score line; about one field in ``odds``
-    is odd and one line in ``odds`` misses a field."""
-
-    def field(valid, *odd):
-        return rng.choice(odd + tuple(SCALARS)) if rng.randrange(odds) == 0 else valid
-
-    kind = rng.choice(["app", "review", "review", "release", "score", "score", "?"])
-    app_id = field(rng.choice(IDS), 1, True)
-    date = field(dt.date(2016, 1, 4) + dt.timedelta(days=rng.randrange(400)), "2016-13-01", "")
-    date = date.isoformat() if isinstance(date, dt.date) else date
-    if kind == "app":
-        price = rng.choice([0.0, 0.99, 4.99, -1.0])
-        obj = {"app_id": app_id, "name": rng.choice(WORDS), "primary_category": rng.choice(WORDS),
-               "price": field(price, "1.5"), "current_version": "1.0",
-               "is_free": field(price == 0, price != 0), "raw_details": {"id": 7}}
-    elif kind == "review":
-        obj = {"review_id": field(rng.choice(IDS), 1, True), "app_id": app_id,
-               "author": rng.choice(WORDS), "title": rng.choice(WORDS), "body": rng.choice(WORDS),
-               "rating": field(rng.randint(1, 5), 0, 6, "4"), "date": date,
-               "helpful_votes": field(rng.randint(0, 3), -2),
-               "app_version": "1.0", "raw": {"k": [1, "two"]}}
-    elif kind == "release":
-        obj = {"app_id": app_id, "version": field(rng.choice(IDS), ""), "date": date,
-               "notes": rng.choice(WORDS)}
-    elif kind == "score":
-        combined = rng.choice(COMBINED)
-        positive, negative = COMBINED_TO_SCORE[combined]
-        as_read = ("undefined",) if combined is None else (combined, float(combined))
-        obj = {"app_id": app_id, "review_id": field(rng.choice(IDS), 1, True),
-               "positive": field(positive, 3.0, 0, 6, float("nan")),
-               "negative": field(negative, -4.0, "-2", 0, -6),
-               "combined": field(format_combined(combined), *as_read, "2", "6", "-0")}
-    else:
-        obj = {}
-    obj = {**obj, "kind": kind}
-    if rng.randrange(odds) == 0:
-        del obj[rng.choice(sorted(obj))]
-    return obj
-
-
-def _archive_line(rng: random.Random, odds: int, obj: dict) -> str:
-    """``obj`` as an archive line with its ending; one line in ``odds``
-    is altered or replaced by an odd one."""
-    text = json.dumps(obj, ensure_ascii=rng.random() < 0.5, sort_keys=rng.random() < 0.5)
-    if rng.randrange(odds) == 0:
-        form = rng.choice(["bom", "leading", "trailing", "text", "cut", "odd"])
-        if form == "bom":
-            text = "\ufeff" + text
-        elif form == "leading":
-            text = " " + text
-        elif form == "trailing":
-            text += " \t"
-        elif form == "text":
-            text += " x"
-        elif form == "cut":
-            text = text[: rng.randrange(1, len(text))]
-        else:
-            text = rng.choice(ODD_LINES)
-    return text + rng.choice(["\n"] * 8 + ["\r\n", "\r"])
-
-
-@st.composite
-def archive_files(draw) -> str:
-    """Archive text: lines valid, altered or odd, repeated keys, scores
-    before and after their reviews, the last line with or without its
-    newline."""
-    rng = draw(st.randoms(use_true_random=True))
-    odds = rng.choice([3, 30])  # messy or mostly valid
-    objects = [_archive_object(rng, odds) for _ in range(draw(st.integers(0, 40)))]
-    reviews = [
-        o for o in objects if o.get("kind") == "review" and {"app_id", "review_id"} <= o.keys()
-    ]
-    for at, obj in enumerate(objects):
-        if obj.get("kind") == "score" and reviews and rng.randrange(5):
-            review = rng.choice(reviews)  # its key, as read or as written
-            objects[at] = {**obj, "app_id": review["app_id"], "review_id": review["review_id"]}
-    text = "".join(_archive_line(rng, odds, obj) for obj in objects)
-    return text if rng.random() < 0.5 else text.rstrip("\n")
-
-
 class _Warnings(logging.Handler):
     """The messages the store logs at WARNING while in use."""
 
@@ -583,6 +496,11 @@ def test_sidecar_view_equals_full_load_view(archive):
         expected = load_archive(path).scored_view()
         assert store._read_view(path) == expected  # the sidecar itself, no fallback
         assert load_scored_view(path) == expected
+        # a report that misses writes the bytes the writer wrote
+        written = view_path(path).read_bytes()
+        view_path(path).unlink()
+        assert load_scored_view(path) == expected
+        assert view_path(path).read_bytes() == written
 
 
 @settings(max_examples=60, deadline=None)
@@ -816,10 +734,143 @@ def test_stale_sidecar_falls_back_to_full_load(tmp_path, monkeypatch, stale):
     save_archive(random_archive(random.Random(5), n_reviews=30), path)
     STALE_SIDECARS[stale](path)
     expected = load_archive(path).scored_view()
-    loads = []
-    monkeypatch.setattr(store, "load_archive", lambda p: loads.append(p) or load_archive(p))
+    parses = []
+    read_archive = store._read_archive
+    monkeypatch.setattr(store, "_read_archive", lambda *a: parses.append(a[1]) or read_archive(*a))
     assert load_scored_view(path) == expected
-    assert loads == [path]
+    assert parses == [path]
+    # the miss wrote a current sidecar: the next view parses nothing
+    assert store._read_view(path) == expected
+    assert load_scored_view(path) == expected
+    assert parses == [path]
+
+
+@st.composite
+def archive_bytes(draw) -> bytes:
+    """Generated archive text, or a saved scored archive with byte edits."""
+    if draw(st.booleans()):
+        return draw(archive_files()).encode("utf-8")
+    return mutated(small_scored_archive(), draw(st.lists(BYTE_EDITS, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(archive_bytes())
+def test_scored_view_equals_full_load_and_caches_only_clean_loads(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "archive.jsonl"
+        path.write_bytes(data)
+        with _Warnings() as expected_warnings:
+            archive = load_archive(path)
+        expected = _outcome(archive.scored_view)
+        cached = not archive.load_skips and isinstance(expected, store.ScoredView)
+        files = ["archive.jsonl", "archive.jsonl.view"] if cached else ["archive.jsonl"]
+        for _ in range(2):
+            with _Warnings() as warnings:
+                assert _outcome(lambda: load_scored_view(path)) == expected
+            # no sidecar hides a skipped line: each call parses and warns again
+            assert warnings == expected_warnings
+            assert sorted(p.name for p in Path(tmp).iterdir()) == files
+        if cached:
+            assert store._read_view(path) == expected
+            # on bytes the writer would write, the sidecar is the writer's too
+            canonical = Path(tmp) / "canonical.jsonl"
+            save_archive(archive, canonical)
+            if canonical.read_bytes() == data:
+                assert view_path(canonical).read_bytes() == view_path(path).read_bytes()
+
+
+def test_unwritable_view_is_returned_without_sidecar(tmp_path):
+    path = tmp_path / "archive.jsonl"
+    archive = random_archive(random.Random(9), n_reviews=5)
+    save_archive(archive, path)
+    view_path(path).unlink()
+    # an app id that is a lone surrogate loads, but UTF-8 cannot write it
+    line = '{"kind": "app", "app_id": "\\ud800", "name": "", "primary_category": "Games", ' \
+        '"price": 0.0, "current_version": ""}\n'
+    path.write_text(line + path.read_text(encoding="utf-8"), encoding="utf-8")
+    archive.add_app(make_app("\ud800"))
+    assert load_scored_view(path) == archive.scored_view()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl"]
+
+
+def _after_first_call(monkeypatch, name: str, hook) -> None:
+    """Run ``hook()`` just after the first call of ``store.<name>`` returns."""
+    original, pending = getattr(store, name), [hook]
+
+    def wrapper(*args):
+        result = original(*args)
+        if pending:
+            pending.pop()()
+        return result
+
+    monkeypatch.setattr(store, name, wrapper)
+
+
+# a writer replaces the archive once the miss has parsed it, or once the
+# sidecar is written but not yet in place
+@pytest.mark.parametrize("after", ["_read_archive", "_write_view"])
+def test_archive_replaced_during_a_miss_is_never_hidden(tmp_path, monkeypatch, after):
+    path = tmp_path / "archive.jsonl"
+    old, new = random_archive(random.Random(10)), random_archive(random.Random(11))
+    save_archive(old, path)
+    view_path(path).unlink()
+    _after_first_call(monkeypatch, after, lambda: save_archive(new, path))
+    assert load_scored_view(path) == old.scored_view()  # what it parsed
+    assert load_scored_view(path) == new.scored_view()
+    assert store._read_view(path) == new.scored_view()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "archive.jsonl.view"]
+
+
+def test_reports_that_miss_at_once_each_write_their_own_tmp_file(tmp_path, monkeypatch, caplog):
+    path = tmp_path / "archive.jsonl"
+    archive = random_archive(random.Random(14), n_reviews=20)
+    save_archive(archive, path)
+    view_path(path).unlink()
+    replace = os.replace
+
+    def second_report_first(*args):  # the first report's sidecar is written, not yet moved
+        monkeypatch.setattr(os, "replace", replace)
+        assert load_scored_view(path) == archive.scored_view()
+        return replace(*args)
+
+    monkeypatch.setattr(os, "replace", second_report_first)
+    with caplog.at_level(logging.DEBUG, logger="reviewsent.store"):
+        assert load_scored_view(path) == archive.scored_view()
+    assert not [r for r in caplog.records if "not written" in r.getMessage()]
+    assert store._read_view(path) == archive.scored_view()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "archive.jsonl.view"]
+
+
+def test_miss_under_a_writers_lock_writes_no_sidecar_and_keeps_the_lock(tmp_path):
+    path = tmp_path / "archive.jsonl"
+    archive = random_archive(random.Random(12), n_reviews=20)
+    save_archive(archive, path)
+    view_path(path).unlink()
+    with archive_lock(path):
+        lock = lock_path(path).stat()
+        assert load_scored_view(path) == archive.scored_view()
+        assert lock_path(path).stat() == lock
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "archive.jsonl.lock"]
+    assert load_scored_view(path) == archive.scored_view()  # no lock: the miss writes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "archive.jsonl.view"]
+
+
+@pytest.mark.parametrize("fails", ["_write_view", "replace"])
+def test_failed_sidecar_write_of_a_miss_changes_nothing(tmp_path, monkeypatch, caplog, fails):
+    path = tmp_path / "archive.jsonl"
+    archive = random_archive(random.Random(13), n_reviews=20)
+    save_archive(archive, path)
+    view_path(path).unlink()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(*args):
+        raise PermissionError("read-only")
+
+    monkeypatch.setattr(*((store, "_write_view") if fails == "_write_view" else (store.os, "replace")), fail)
+    with caplog.at_level(logging.DEBUG, logger="reviewsent.store"):
+        assert load_scored_view(path) == archive.scored_view()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no .tmp left
+    assert [r.levelno for r in caplog.records if "not written" in r.getMessage()] == [logging.DEBUG]
 
 
 def test_unscored_save_removes_sidecar_and_view_refuses(tmp_path):
