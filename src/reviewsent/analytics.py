@@ -3,6 +3,8 @@
 Covers the per-category summary table (counts, mean, SD, median,
 polarity shares), sentiment-versus-rating and sentiment-versus-price
 correlations, per-star box statistics, and dispersion per review topic.
+The archive reports take a ``ScoredView`` (from ``Archive.scored_view()``
+or ``store.load_scored_view``) and read its rows.
 
 Conventions pinned here so results are reproducible: SD is the sample
 standard deviation (n-1) with the n=1 case defined as 0; quartiles use
@@ -23,7 +25,7 @@ from typing import IO, Callable, Iterable, Mapping, Sequence
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
 from .combine import Polarity, combine, polarity_class  # noqa: F401
-from .store import Archive, ScoredRow, ScoredView
+from .store import ScoredRow, ScoredView
 from .tables import fmt, read_rows, writer
 
 STRONG_NEGATIVE_CUTOFF = -4  # combined <= -4 counts as strongly negative
@@ -182,10 +184,10 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 # --- archive aggregation ---------------------------------------------------
 
 
-def summarize_by_category(archive: Archive | ScoredView) -> list[CategorySummary]:
-    """Per-category counts, central statistics, and polarity shares."""
+def summarize_by_category(view: ScoredView) -> list[CategorySummary]:
+    """Per-category counts, central statistics, and polarity shares of the view's rows."""
     by_category: dict[str, list[ScoredRow]] = {}
-    for row in archive.scored_rows():
+    for row in view.rows:
         by_category.setdefault(row.category, []).append(row)
     return [
         _summarize_category(category, members)
@@ -193,9 +195,9 @@ def summarize_by_category(archive: Archive | ScoredView) -> list[CategorySummary
     ]
 
 
-def overall_summary(archive: Archive | ScoredView) -> CategorySummary:
-    """One summary row over the whole archive, labeled ``ALL``."""
-    return _summarize_category(OVERALL_CATEGORY, archive.scored_rows())
+def overall_summary(view: ScoredView) -> CategorySummary:
+    """One summary row over all of the view's rows, labeled ``ALL``."""
+    return _summarize_category(OVERALL_CATEGORY, view.rows)
 
 
 def _summarize_category(category: str, members: list[ScoredRow]) -> CategorySummary:
@@ -224,13 +226,13 @@ def _summarize_category(category: str, members: list[ScoredRow]) -> CategorySumm
     )
 
 
-def sentiment_by_rating(archive: Archive | ScoredView) -> dict[int, RatingSummary]:
+def sentiment_by_rating(view: ScoredView) -> dict[int, RatingSummary]:
     """Box statistics of combined sentiment per star rating (1..5).
 
     Stars with no defined sentiment are absent from the result.
     """
     buckets: dict[int, list[int]] = {}
-    for row in archive.scored_rows():
+    for row in view.rows:
         if row.combined is not None:
             buckets.setdefault(row.rating, []).append(row.combined)
     summaries: dict[int, RatingSummary] = {}
@@ -257,28 +259,22 @@ def sentiment_by_rating(archive: Archive | ScoredView) -> dict[int, RatingSummar
     return summaries
 
 
-def sentiment_vs_rating(
-    archive: Archive | ScoredView, include_neutral: bool = True
-) -> CorrelationResult:
+def sentiment_vs_rating(view: ScoredView, include_neutral: bool = True) -> CorrelationResult:
     """Correlation of star rating with combined sentiment, review-level pairs."""
-    return _correlate(archive, lambda row: float(row.rating), include_neutral)
+    return _correlate(view, lambda row: float(row.rating), include_neutral)
 
 
-def sentiment_vs_price(
-    archive: Archive | ScoredView, include_neutral: bool = True
-) -> CorrelationResult:
+def sentiment_vs_price(view: ScoredView, include_neutral: bool = True) -> CorrelationResult:
     """Correlation of app price with combined sentiment, review-level pairs."""
-    return _correlate(archive, lambda row: row.price, include_neutral)
+    return _correlate(view, lambda row: row.price, include_neutral)
 
 
 def _correlate(
-    archive: Archive | ScoredView,
-    x_of: Callable[[ScoredRow], float],
-    include_neutral: bool,
+    view: ScoredView, x_of: Callable[[ScoredRow], float], include_neutral: bool
 ) -> CorrelationResult:
     rows = [
         row
-        for row in archive.scored_rows()
+        for row in view.rows
         if row.combined is not None and (include_neutral or row.combined != 0)
     ]
     xs = [x_of(row) for row in rows]

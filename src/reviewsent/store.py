@@ -6,13 +6,15 @@ exactly; corrupt lines are skipped and reported instead of aborting the
 load. Writers take an exclusive lock file next to the archive so only
 one process mutates it at a time.
 
-Next to a fully scored archive the writer also keeps a scored-view
-sidecar (``<archive>.view``): the table the reports read, keyed by the
+Next to a fully scored archive a scored-view sidecar
+(``<archive>.view``) holds the table the reports read, keyed by the
 archive's byte length and CRC-32, so a report can skip parsing the
-archive while the two match. A report that finds no current sidecar
-parses the archive and, when no line was skipped, writes the sidecar
-for the bytes it parsed, best effort and without the lock, so that the
-next report skips the parse.
+archive while the two match. It has one builder, ``Archive.scored_view``,
+and one writer, ``_write_view``, with two callers: ``write_archive``
+after the archive's last line, and a report that finds no current
+sidecar, parses the archive and, when no line was skipped, writes the
+sidecar for the bytes it parsed, best effort and without the lock, so
+that the next report skips the parse.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import logging
 import math
 import os
+import sys
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
@@ -133,16 +136,12 @@ class ScoredView:
     """What the reports read from an archive: its scored rows, app ids and releases.
 
     ``Archive.scored_view()`` builds it from a loaded archive and
-    ``load_scored_view`` from the sidecar. An ``Archive`` offers the same
-    three members, so report functions take either.
+    ``load_scored_view`` from the sidecar; every report function takes one.
     """
 
     rows: list[ScoredRow]
     apps: frozenset[str]
     releases: dict[tuple[str, str], Release]  # without notes
-
-    def scored_rows(self) -> list[ScoredRow]:
-        return self.rows
 
 
 @dataclass(repr=False)
@@ -184,8 +183,9 @@ class Archive:
                 raise ArchiveError(f"merge: score for unknown review {key}")
             self.scores[key] = score
 
-    def scored_rows(self) -> list[ScoredRow]:
-        """Every review joined with its app and combined score, in key order.
+    def scored_view(self) -> ScoredView:
+        """Every review joined with its app and combined score, in key
+        order, with the app ids and the releases without notes.
 
         Raises when any review is unscored or names an app that is not
         in the archive, so no report runs on a partial table.
@@ -194,6 +194,10 @@ class Archive:
         if not scores.keys() >= reviews.keys():
             unscored = len(reviews.keys() - scores.keys())
             raise ArchiveError(f"{unscored} reviews have no score; run score first")
+        # before any row is built, so that no other review's field raises first
+        missing_apps = {r.app_id for r in reviews.values()} - self.apps.keys()
+        if missing_apps:
+            raise ArchiveError(f"reviews reference unknown apps: {sorted(missing_apps)}")
         # an app's columns once per app, and combine once per score object:
         # a loaded archive shares one object per distinct score
         app_columns = {
@@ -203,28 +207,20 @@ class Archive:
         distinct = {id(score): score for score in scores.values()}
         combined = {at: combine(score) for at, score in distinct.items()}
         rows: list[ScoredRow] = []
-        try:
-            for key in sorted(reviews):
-                review = reviews[key]
-                # positional: keyword arguments make building the view ~1.6x slower
-                rows.append(
-                    ScoredRow(
-                        *app_columns[review.app_id],
-                        review.rating,
-                        review.date,
-                        combined[id(scores[key])],
-                        review.text_length,
-                    )
+        for key in sorted(reviews):
+            review = reviews[key]
+            # positional: keyword arguments make building the view ~1.6x slower
+            rows.append(
+                ScoredRow(
+                    *app_columns[review.app_id],
+                    review.rating,
+                    review.date,
+                    combined[id(scores[key])],
+                    review.text_length,
                 )
-        except KeyError:  # scores cover every review, so an app is missing
-            missing_apps = {r.app_id for r in reviews.values()} - self.apps.keys()
-            raise ArchiveError(f"reviews reference unknown apps: {sorted(missing_apps)}") from None
-        return rows
-
-    def scored_view(self) -> ScoredView:
-        """The scored rows, app ids and release dates; raises like ``scored_rows``."""
+            )
         return ScoredView(
-            self.scored_rows(),
+            rows,
             frozenset(self.apps),
             {key: Release(r.app_id, r.version, r.date) for key, r in self.releases.items()},
         )
@@ -335,19 +331,22 @@ def write_archive(archive: Archive, path: str | Path) -> None:
 
     The caller holds ``archive_lock(path)``, from before it loaded what
     it changes, so that no other writer's update is lost. When every
-    review is scored, the scored-view sidecar is rewritten for the new
-    bytes; otherwise it is removed.
+    review is scored and names a known app, the scored-view sidecar is
+    rewritten for the new bytes; otherwise it is removed.
     """
     path = Path(path)
     sidecar = view_path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     sidecar_tmp = sidecar.with_suffix(sidecar.suffix + ".tmp")
-    view: list[list] = []
+    view = None
     try:
-        with tmp.open("wb") as out:
-            key = _write_chunks(out, _archive_lines(archive, view))
-        if view:
-            _write_view(*view, key, sidecar_tmp)
+        with tmp.open("w", encoding="utf-8", newline="\n") as out:
+            out.writelines(_archive_lines(archive))
+        with suppress(ArchiveError):  # an unscored review, or one of an unknown app
+            view = archive.scored_view()
+        if view is not None:
+            with tmp.open("rb") as written:
+                _write_view(view, _stream_key(written), sidecar_tmp)
     except BaseException:
         tmp.unlink(missing_ok=True)
         sidecar_tmp.unlink(missing_ok=True)
@@ -355,7 +354,7 @@ def write_archive(archive: Archive, path: str | Path) -> None:
     # a crash between the two steps leaves a sidecar whose key no longer
     # matches, which readers ignore
     tmp.replace(path)
-    if view:
+    if view is not None:
         sidecar_tmp.replace(sidecar)
     else:
         sidecar.unlink(missing_ok=True)
@@ -378,34 +377,38 @@ _quote = encode_basestring
 def _encode(obj: object) -> str:
     try:
         return _ENCODER.encode(obj)
-    except RecursionError:  # a loaded raw payload may nest almost as deep as decoding allows
+    except RecursionError:
+        pass
+    # a loaded raw payload may nest almost as deep as the recursion limit
+    # allows above the loader's frames: the retry has that whole limit
+    # above this frame, so every payload the loader accepts is written
+    limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(limit + depth + 8)  # the encoder's own Python frames
+    try:
+        return _ENCODER.encode(obj)
+    except RecursionError:
         raise ArchiveError("a raw payload is nested too deeply to save") from None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
-def _archive_lines(archive: Archive, view: list[list]) -> Iterator[str]:
+def _archive_lines(archive: Archive) -> Iterator[str]:
     """The archive's lines in key order: apps, reviews, releases, scores.
 
     A review or score line whose fields hold exactly their declared types
     (``str``, ``int`` and not ``bool``, ``date`` and not ``datetime``, a
     ``dict`` raw payload) comes from one f-string in the encoder's sorted
     key order; any other line is encoded whole, as are app and release
-    lines. The same pass gathers the scored view: when every review is
-    scored and names a known app, its columns, app ids and releases are
-    put in ``view`` once the last line is made.
+    lines.
     """
-    apps, reviews, scores = archive.apps, archive.reviews, archive.scores
-    view_holds = scores.keys() >= reviews.keys()
-    app_ids = sorted(apps)
-    app_columns = {}
-    for app_id in app_ids:
+    apps, reviews = archive.apps, archive.reviews
+    for app_id in sorted(apps):
         app = apps[app_id]
         yield _encode(_entity_to_json("app", app, is_free=app.is_free)) + "\n"
-        app_columns[app_id] = (app.app_id, app.primary_category, app.is_free, app.price)
 
     quote, date = _quote, dt.date
-    # ScoredRow fields, with the score object in place of combined, and the
-    # review in place of a text length not yet measured
-    rows = []
     for key in sorted(reviews):
         r = reviews[key]
         if (
@@ -416,101 +419,40 @@ def _archive_lines(archive: Archive, view: list[list]) -> Iterator[str]:
             and type(r.date) is date
             and type(r.raw) is dict
         ):
-            day, length = r.date.isoformat(), len(r.title) + len(r.body)
             yield (
                 f'{{"app_id": {quote(r.app_id)}, "app_version": {quote(r.app_version)}, '
-                f'"author": {quote(r.author)}, "body": {quote(r.body)}, "date": "{day}", '
-                f'"helpful_votes": {r.helpful_votes}, "kind": "review", "rating": {r.rating}, '
+                f'"author": {quote(r.author)}, "body": {quote(r.body)}, '
+                f'"date": "{r.date.isoformat()}", "helpful_votes": {r.helpful_votes}, '
+                f'"kind": "review", "rating": {r.rating}, '
                 f'"raw": {_encode(r.raw) if r.raw else "{}"}, '
                 f'"review_id": {quote(r.review_id)}, "title": {quote(r.title)}}}\n'
             )
         else:
-            day = r.date  # the encoder's default writes a date like the line does
-            length = r  # measured once every line is made, as scored_rows() does
             yield _encode(_entity_to_json("review", r)) + "\n"
-        if view_holds:
-            app = app_columns.get(r.app_id)
-            if app is None:
-                view_holds = False
-            else:
-                rows.append((*app, r.rating, day, scores[key], length))
 
-    releases = []
     for key in sorted(archive.releases):
-        release = archive.releases[key]
-        yield _encode(_entity_to_json("release", release)) + "\n"
-        releases.append((release.app_id, release.version, release.date))
+        yield _encode(_entity_to_json("release", archive.releases[key])) + "\n"
 
-    combined_of = {}  # id(score) -> (combined, its text): one combine per score object
-    for (app_id, review_id), score in sorted(scores.items()):
-        combined = combined_of.get(id(score))
+    texts = {}  # id(score) -> its combined text: one combine per score object
+    for (app_id, review_id), score in sorted(archive.scores.items()):
+        combined = texts.get(id(score))
         if combined is None:
-            value = combine(score)
-            combined = combined_of[id(score)] = (value, format_combined(value))
+            combined = texts[id(score)] = format_combined(combine(score))
         if (
             type(score) is SentimentScore
             and type(score.positive) is type(score.negative) is int
             and type(app_id) is type(review_id) is str
         ):
             yield (
-                f'{{"app_id": {quote(app_id)}, "combined": "{combined[1]}", "kind": "score", '
+                f'{{"app_id": {quote(app_id)}, "combined": "{combined}", "kind": "score", '
                 f'"negative": {score.negative}, "positive": {score.positive}, '
                 f'"review_id": {quote(review_id)}}}\n'
             )
         else:
             line = _entity_to_json(
-                "score", score, app_id=app_id, review_id=review_id, combined=combined[1]
+                "score", score, app_id=app_id, review_id=review_id, combined=combined
             )
             yield _encode(line) + "\n"
-
-    if view_holds:
-        columns = _columns(rows)
-        columns[6] = [combined_of[id(score)][0] for score in columns[6]]
-        columns[7] = [n if type(n) is int else n.text_length for n in columns[7]]
-        view += columns, app_ids, releases
-
-
-def _write_chunks(out: IO[bytes], lines: Iterator[str]) -> list[int]:
-    """Write lines as UTF-8; return the byte length and CRC-32 written.
-
-    Lines are joined and encoded about 256k characters at a time: a
-    chunk of 2048 lines raised the peak RSS of saving long reviews by
-    7 MiB, and the whole file at once that of ``score`` by 25 MiB.
-    """
-    key = [0, 0]
-    chunk: list[str] = []
-
-    def write() -> None:
-        data = _utf8(chunk)
-        out.write(data)
-        key[0] += len(data)
-        key[1] = zlib.crc32(data, key[1])
-        chunk.clear()
-
-    pending = 0
-    try:
-        for line in lines:
-            chunk.append(line)
-            pending += len(line)
-            if pending >= 1 << 18:
-                write()
-                pending = 0
-    except Exception:
-        # a line made before the failing one that UTF-8 cannot encode fails
-        # first, as when each line was encoded as it was made
-        _utf8(chunk)
-        raise
-    write()
-    return key
-
-
-def _utf8(chunk: list[str]) -> bytes:
-    try:
-        return "".join(chunk).encode("utf-8")
-    except UnicodeEncodeError:
-        for line in chunk:  # raise at the position in its line, as a text-mode write does
-            line.encode("utf-8")
-        raise
 
 
 def load_archive(path: str | Path) -> Archive:
@@ -670,21 +612,17 @@ def _stream_key(stream: IO[bytes]) -> list[int]:
     return [size, crc]
 
 
-def _columns(rows: list) -> list:
-    """Rows of ``ScoredRow`` fields as columns in field order; no rows, empty columns."""
-    return list(zip(*rows)) or [()] * len(ScoredRow._fields)
-
-
-def _write_view(columns: list, apps: list[str], releases: list, key: list[int], path: Path) -> None:
-    """The sidecar of the archive bytes ``key`` describes: the ``ScoredRow``
-    columns, the sorted app ids and the ``(app_id, version, date)`` of each
-    release in key order."""
+def _write_view(view: ScoredView, key: list[int], path: Path) -> None:
+    """The sidecar of ``view`` for the archive bytes ``key`` describes: the
+    ``ScoredRow`` columns, the sorted app ids and the ``(app_id, version,
+    date)`` of each release in key order."""
+    columns = list(zip(*view.rows)) or [()] * len(ScoredRow._fields)
     payload = {
         "version": VIEW_VERSION,
         "key": key,
         "columns": dict(zip(ScoredRow._fields, columns)),
-        "apps": apps,
-        "releases": releases,
+        "apps": sorted(view.apps),
+        "releases": [(r.app_id, r.version, r.date) for _, r in sorted(view.releases.items())],
     }
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(_ENCODER.encode(payload))
@@ -761,9 +699,8 @@ def _cache_view(view: ScoredView, stream: IO[bytes], path: Path) -> None:
         return
     sidecar = view_path(path)
     tmp = Path(f"{sidecar}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    releases = [(r.app_id, r.version, r.date) for _, r in sorted(view.releases.items())]
     try:
-        _write_view(_columns(view.rows), sorted(view.apps), releases, _stream_key(stream), tmp)
+        _write_view(view, _stream_key(stream), tmp)
         os.replace(tmp, sidecar)
     except (OSError, ValueError) as exc:  # a lone surrogate raises UnicodeEncodeError
         log.debug("archive %s: sidecar not written (%s)", path, exc)

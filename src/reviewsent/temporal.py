@@ -24,7 +24,7 @@ from .analytics import sample_sd
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
 from .combine import combine  # noqa: F401
-from .store import Archive, ScoredView
+from .store import ScoredView
 from .tables import fmt, writer
 
 MIN_PATTERN_POINTS = 8
@@ -121,31 +121,30 @@ class ReleaseImpact:
 
 
 def weekly_aggregate(
-    archive: Archive | ScoredView, app_id: str, start: dt.date, end: dt.date
+    view: ScoredView, app_id: str, start: dt.date, end: dt.date
 ) -> WeeklySeries:
     """Weekly series of one app over [start, end]; see :func:`weekly_aggregates`."""
-    return weekly_aggregates(archive, [app_id], start, end)[0]
+    return weekly_aggregates(view, [app_id], start, end)[0]
 
 
 def weekly_aggregates(
-    archive: Archive | ScoredView, app_ids: Sequence[str], start: dt.date, end: dt.date
+    view: ScoredView, app_ids: Sequence[str], start: dt.date, end: dt.date
 ) -> list[WeeklySeries]:
     """Weekly series of each app over [start, end], consecutive 7-day bins.
 
-    One pass over the archive's scored view bins every app's reviews;
-    only reviews with a defined combined sentiment contribute, and every
-    review in the archive must be scored. Releases inside the window are
-    mapped to the same bins.
+    One pass over the view's rows bins every app's reviews; only reviews
+    with a defined combined sentiment contribute. The view's releases
+    inside the window are mapped to the same bins.
     """
     if start > end:
         raise ValueError(f"start {start} after end {end}")
     for app_id in app_ids:
-        if app_id not in archive.apps:
+        if app_id not in view.apps:
             raise ValueError(f"app {app_id!r} not in archive")
     n_weeks = (end - start).days // 7 + 1
     # per app: review count, combined sum and text length sum of each week
     bins = {app_id: ([0] * n_weeks, [0.0] * n_weeks, [0] * n_weeks) for app_id in app_ids}
-    for row in archive.scored_rows():
+    for row in view.rows:
         app_bins = bins.get(row.app_id)
         if app_bins is None or row.combined is None or not start <= row.date <= end:
             continue
@@ -155,7 +154,7 @@ def weekly_aggregates(
         combined_sum[week] += row.combined
         length_sum[week] += row.text_length
     releases: dict[str, list[tuple[int, str]]] = {app_id: [] for app_id in app_ids}
-    for release in archive.releases.values():
+    for release in view.releases.values():
         if release.app_id in releases and start <= release.date <= end:
             week = (release.date - start).days // 7
             releases[release.app_id].append((week, release.version))
@@ -339,14 +338,14 @@ def write_pattern_report(
 
 
 def qualifying_apps(
-    archive: Archive | ScoredView,
+    view: ScoredView,
     start: dt.date,
     end: dt.date,
     min_reviews: int = DEFAULT_QUALIFYING_REVIEWS,
 ) -> list[str]:
-    """Apps with more than ``min_reviews`` reviews inside the window."""
+    """Apps with more than ``min_reviews`` of the view's rows inside the window."""
     counts: dict[str, int] = {}
-    for row in archive.scored_rows():
+    for row in view.rows:
         if start <= row.date <= end:
             counts[row.app_id] = counts.get(row.app_id, 0) + 1
     return sorted(app_id for app_id, n in counts.items() if n > min_reviews)

@@ -597,7 +597,7 @@ def reference_load_archive(path) -> Archive:
 
 
 def reference_scored_rows(archive: Archive) -> list[ScoredRow]:
-    """``Archive.scored_rows`` with every check and lookup spelled out per row."""
+    """``Archive.scored_view().rows`` with every check and lookup spelled out per row."""
     unscored = len(archive.reviews.keys() - archive.scores.keys())
     if unscored:
         raise ArchiveError(f"{unscored} reviews have no score; run score first")

@@ -179,7 +179,7 @@ def test_criterion_05_analytics_reconciliation():
                 )
             else:
                 per_category_defined.setdefault(category, []).append(value)
-        for summary in summarize_by_category(archive):
+        for summary in summarize_by_category(archive.scored_view()):
             total = per_category_totals[summary.category]
             shares_sum = (
                 summary.share_positive
@@ -245,7 +245,7 @@ def test_criterion_07_aggregation_conservation():
         rng = random.Random(seed)
         archive = random_archive(rng, n_apps=2, n_reviews=rng.randint(10, 50))
         app_id = f"app{rng.randrange(2)}"
-        series = weekly_aggregate(archive, app_id, WINDOW_START, WINDOW_END)
+        series = weekly_aggregate(archive.scored_view(), app_id, WINDOW_START, WINDOW_END)
         expected = sum(
             1
             for key, review in archive.reviews.items()
@@ -265,7 +265,7 @@ def test_criterion_07_aggregation_conservation():
         for key in shuffled_keys:
             reordered.add_review(archive.reviews[key])
             reordered.set_score(key[0], key[1], archive.scores[key])
-        assert weekly_aggregate(reordered, app_id, WINDOW_START, WINDOW_END) == series
+        assert weekly_aggregate(reordered.scored_view(), app_id, WINDOW_START, WINDOW_END) == series
         cases += 1
     assert cases == 100
     _pass(7, "100 seeded archives conserve counts and ignore insertion order")
@@ -383,12 +383,12 @@ def test_criterion_10_full_dataset_report():
     archive = load_archive(PAPER_DATASET_ARCHIVE)
     from reviewsent.analytics import overall_summary, sentiment_vs_rating
 
-    result = sentiment_vs_rating(archive)
-    overall = overall_summary(archive)
+    result = sentiment_vs_rating(archive.scored_view())
+    overall = overall_summary(archive.scored_view())
     print("\nfull dataset: reference Pearson 0.5699, reference mean 1.544")
     print(f"computed: pearson={result.pearson:.4f} spearman={result.spearman:.6f}")
     print(f"computed: mean combined={overall.mean:.3f} over n={overall.n_scored}")
-    for summary in summarize_by_category(archive):
+    for summary in summarize_by_category(archive.scored_view()):
         print(
             f"{summary.category}: n={summary.n_free + summary.n_paid} mean={summary.mean:.3f} "
             f"sd={summary.sd:.3f} median={summary.median:.1f}"

@@ -175,7 +175,7 @@ def test_correlations_match_oracles_on_seeded_data():
 
 def test_summarize_hand_computed_example():
     archive = archive_with_combined([3, 3, -3, 0])
-    (summary,) = summarize_by_category(archive)
+    (summary,) = summarize_by_category(archive.scored_view())
     assert summary.category == "Games"
     assert summary.n_scored == 4
     assert summary.mean == pytest.approx(0.75)
@@ -188,7 +188,7 @@ def test_summarize_hand_computed_example():
 
 def test_summarize_single_review():
     archive = archive_with_combined([5])
-    (summary,) = summarize_by_category(archive)
+    (summary,) = summarize_by_category(archive.scored_view())
     assert summary.mean == 5
     assert summary.median == 5
     assert summary.sd == 0.0
@@ -196,7 +196,7 @@ def test_summarize_single_review():
 
 def test_summarize_all_undefined_category():
     archive = archive_with_combined([None, None])
-    (summary,) = summarize_by_category(archive)
+    (summary,) = summarize_by_category(archive.scored_view())
     assert summary.n_scored == 0
     assert summary.mean is None
     assert summary.sd is None
@@ -211,7 +211,7 @@ def test_summarize_splits_free_and_paid():
     add_scored_review(archive, "free1", "r1", 3)
     add_scored_review(archive, "paid1", "r2", -3)
     add_scored_review(archive, "paid1", "r3", 0)
-    (summary,) = summarize_by_category(archive)
+    (summary,) = summarize_by_category(archive.scored_view())
     assert summary.n_free == 1
     assert summary.n_paid == 2
 
@@ -222,7 +222,7 @@ def test_summarize_requires_scores():
 
     archive.add_review(make_review("app1", "unscored"))
     with pytest.raises(ValueError, match="run score first"):
-        summarize_by_category(archive)
+        summarize_by_category(archive.scored_view())
 
 
 def test_shares_sum_and_counts_reconcile_on_random_archives():
@@ -239,7 +239,7 @@ def test_shares_sum_and_counts_reconcile_on_random_archives():
                 undefined_per_category[category] = (
                     undefined_per_category.get(category, 0) + 1
                 )
-        for summary in summarize_by_category(archive):
+        for summary in summarize_by_category(archive.scored_view()):
             shares = (
                 summary.share_positive
                 + summary.share_neutral
@@ -254,8 +254,8 @@ def test_shares_sum_and_counts_reconcile_on_random_archives():
 
 def test_one_category_archive_equals_overall():
     archive = archive_with_combined([5, 3, 0, -2, None, 4])
-    (per_category,) = summarize_by_category(archive)
-    overall = overall_summary(archive)
+    (per_category,) = summarize_by_category(archive.scored_view())
+    overall = overall_summary(archive.scored_view())
     assert overall.category == "ALL"
     for field in (
         "n_free",
@@ -277,7 +277,7 @@ def test_summarize_median_and_sd_match_sort_oracle():
     archive = random_archive(rng, n_apps=3, n_reviews=80)
     from reviewsent.combine import combine
 
-    for summary in summarize_by_category(archive):
+    for summary in summarize_by_category(archive.scored_view()):
         values = sorted(
             combine(archive.scores[key])
             for key, review in archive.reviews.items()
@@ -305,7 +305,7 @@ def test_rating_boxes_match_numpy_quartiles():
     # +/-1 are unreachable combined values, so the fixture avoids them
     values = [-5, -3, -2, 0, 0, 2, 4, 5]
     archive = archive_with_combined(values, ratings=[3] * len(values))
-    summary = sentiment_by_rating(archive)[3]
+    summary = sentiment_by_rating(archive.scored_view())[3]
     assert summary.n == 8
     assert summary.q1 == pytest.approx(-2.25, abs=1e-12)
     assert summary.median == pytest.approx(0.0, abs=1e-12)
@@ -316,7 +316,7 @@ def test_rating_boxes_match_numpy_quartiles():
 
 def test_rating_boxes_single_value_bucket_degenerate():
     archive = archive_with_combined([4], ratings=[5])
-    summary = sentiment_by_rating(archive)[5]
+    summary = sentiment_by_rating(archive.scored_view())[5]
     assert (
         summary.minimum
         == summary.q1
@@ -331,14 +331,14 @@ def test_rating_boxes_single_value_bucket_degenerate():
 def test_rating_boxes_empty_archive_absent():
     archive = Archive()
     archive.add_app(make_app("app1"))
-    assert sentiment_by_rating(archive) == {}
+    assert sentiment_by_rating(archive.scored_view()) == {}
 
 
 def test_rating_boxes_outlier_count():
     # tight cluster plus one far point: fences put -5 outside
     values = [2, 2, 2, 2, 3, 3, 3, 3, -5]
     archive = archive_with_combined(values, ratings=[5] * len(values))
-    summary = sentiment_by_rating(archive)[5]
+    summary = sentiment_by_rating(archive.scored_view())[5]
     q1, q3 = np.quantile(values, 0.25), np.quantile(values, 0.75)
     fence = 1.5 * (q3 - q1)
     expected = sum(1 for v in values if v < q1 - fence or v > q3 + fence)
@@ -349,7 +349,7 @@ def test_rating_boxes_outlier_count():
 
 def test_undefined_excluded_from_rating_boxes():
     archive = archive_with_combined([None, 3], ratings=[5, 5])
-    summary = sentiment_by_rating(archive)[5]
+    summary = sentiment_by_rating(archive.scored_view())[5]
     assert summary.n == 1
 
 
@@ -360,21 +360,21 @@ def test_sentiment_vs_rating_monotone():
     archive = archive_with_combined(
         [-4, -2, 0, 2, 4], ratings=[1, 2, 3, 4, 5]
     )
-    result = sentiment_vs_rating(archive)
+    result = sentiment_vs_rating(archive.scored_view())
     assert result.n == 5
     assert result.spearman == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exclude_neutral_flag():
     archive = archive_with_combined([-4, -2, 0, 2, 4], ratings=[1, 2, 3, 4, 5])
-    result = sentiment_vs_rating(archive, include_neutral=False)
+    result = sentiment_vs_rating(archive.scored_view(), include_neutral=False)
     assert result.n == 4
 
 
 def test_sentiment_vs_price_all_free_errors():
     archive = archive_with_combined([3, -3, 0], price=0.0)
     with pytest.raises(ValueError, match="constant"):
-        sentiment_vs_price(archive)
+        sentiment_vs_price(archive.scored_view())
 
 
 def test_sentiment_vs_price_constructed_zero_correlation():
@@ -384,7 +384,7 @@ def test_sentiment_vs_price_constructed_zero_correlation():
     for app_id in ("free", "paid"):
         add_scored_review(archive, app_id, f"{app_id}-neg", -2)
         add_scored_review(archive, app_id, f"{app_id}-pos", 2)
-    result = sentiment_vs_price(archive)
+    result = sentiment_vs_price(archive.scored_view())
     assert abs(result.pearson) < 1e-12
     assert abs(result.spearman) < 1e-12
 
@@ -394,13 +394,13 @@ def test_sentiment_vs_price_monotone_toy_set():
     for i, price in enumerate([0.0, 0.99, 4.99]):
         archive.add_app(make_app(f"a{i}", price=price))
         add_scored_review(archive, f"a{i}", f"r{i}", [-3, 0, 3][i])
-    result = sentiment_vs_price(archive)
+    result = sentiment_vs_price(archive.scored_view())
     assert result.spearman == pytest.approx(1.0, abs=1e-12)
 
 
 def test_undefined_excluded_from_correlations():
     archive = archive_with_combined([None, -3, 0, 3], ratings=[1, 1, 3, 5])
-    assert sentiment_vs_rating(archive).n == 3
+    assert sentiment_vs_rating(archive.scored_view()).n == 3
 
 
 # --- per-topic dispersion -------------------------------------------------------------
@@ -450,7 +450,7 @@ def test_parse_topic_rows_rejects_unknown_topic():
 def test_category_report_six_decimals():
     archive = archive_with_combined([3, -3])
     out = io.StringIO()
-    write_category_report(summarize_by_category(archive), out)
+    write_category_report(summarize_by_category(archive.scored_view()), out)
     # the columns are the CategorySummary fields: pinned, so a rename shows here
     assert out.getvalue().splitlines() == [
         "category,n_free,n_paid,n_scored,mean,sd,median,"
@@ -461,6 +461,6 @@ def test_category_report_six_decimals():
 
 def test_polarity_shares_align_with_polarity_class():
     archive = archive_with_combined([5, 0, -5, None])
-    (summary,) = summarize_by_category(archive)
+    (summary,) = summarize_by_category(archive.scored_view())
     assert summary.share_positive == 0.25
     assert polarity_class(5) is Polarity.POSITIVE

@@ -599,6 +599,10 @@ def test_reports_whose_sidecar_write_fails_change_nothing(tmp_path, monkeypatch,
     monkeypatch.setattr(*((store, "_write_view") if fails == "_write_view" else (os, "replace")), fail)
     assert _reports(archive, tmp_path / "miss", capsys) == expected
     assert _listing(archive.parent) == before  # no sidecar and no .tmp file
+    if fails == "_write_view":  # score writes the sidecar through it too, and fails
+        assert run(["score", "--no-emoji", "--archive", archive]) == 1
+        assert "error: [Errno 13] Permission denied" in capsys.readouterr().err
+        assert _listing(archive.parent) == before
 
 
 def test_reports_under_a_writers_lock_write_no_sidecar_and_keep_it(tmp_path, capsys):
@@ -811,6 +815,34 @@ def test_raw_payload_at_any_depth_ends_every_command_cleanly(tmp_path):
         archive.parent.mkdir()
         archive.write_bytes(review % (b"[" * depth + b"]" * depth))
         _run_every_command(archive)
+
+
+# a review line as the writer makes it, the raw payload nested N deep
+NESTED_RAW = {
+    "list": lambda depth: b"[" * depth + b"]" * depth,
+    "dict": lambda depth: b'{"k": ' * (depth - 1) + b"{}" + b"}" * (depth - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_RAW))
+def test_raw_payload_the_loader_accepts_is_saved_at_every_depth(tmp_path, capsys, shape):
+    # a list raw payload takes the writer's whole-line path, a dict one its f-string
+    outcomes = set()
+    for depth in range(800, 1001):
+        source, imported = tmp_path / f"{depth}.jsonl", tmp_path / f"imported{depth}.jsonl"
+        source.write_bytes(
+            b'{"app_id": "app0", "app_version": "", "author": "", "body": "", "date": "2016-02-01",'
+            b' "helpful_votes": 0, "kind": "review", "rating": 3, "raw": %s, "review_id": "x",'
+            b' "title": ""}\n' % NESTED_RAW[shape](depth)
+        )
+        capsys.readouterr()
+        assert run(["ingest", "--archive", imported, "--import-archive", source]) == 0
+        skipped = "import: skipped line 1: JSON nested too deeply" in capsys.readouterr().err
+        outcomes.add(skipped)
+        if not skipped:
+            assert imported.read_bytes() == source.read_bytes()
+            assert not load_archive(imported).load_skips
+    assert outcomes == {False, True}  # the range spans the loader's limit
 
 
 @settings(max_examples=25, deadline=None)

@@ -96,7 +96,7 @@ def test_scored_rows_follow_key_order_with_combined_and_length():
     }
     for (app_id, review_id), score in scores.items():
         archive.set_score(app_id, review_id, score)
-    rows = archive.scored_rows()
+    rows = archive.scored_view().rows
     assert [(row.app_id, row.rating) for row in rows] == [
         ("app1", 5),
         ("app1", 4),
@@ -108,7 +108,7 @@ def test_scored_rows_follow_key_order_with_combined_and_length():
     assert [row.text_length for row in rows] == [len("a title") + len("a body"), 5, 3]
     assert (rows[2].category, rows[2].is_free, rows[2].price) == ("News", False, 0.99)
     assert rows[0].date == make_review("app1", "r1").date
-    assert Archive().scored_rows() == []
+    assert Archive().scored_view().rows == []
 
 
 def test_scored_rows_refuse_unscored_review_and_unknown_app():
@@ -118,17 +118,17 @@ def test_scored_rows_refuse_unscored_review_and_unknown_app():
     archive.add_review(make_review("app1", "r2"))
     archive.set_score("app1", "r1", SentimentScore(2, -1))
     with pytest.raises(ArchiveError, match="1 reviews have no score; run score first"):
-        archive.scored_rows()
+        archive.scored_view().rows
     archive.scores[("app1", "gone")] = SentimentScore(2, -1)  # as many scores as reviews
     with pytest.raises(ArchiveError, match="1 reviews have no score; run score first"):
-        archive.scored_rows()
+        archive.scored_view().rows
 
     del archive.scores[("app1", "gone")]
     archive.set_score("app1", "r2", SentimentScore(2, -1))
     archive.add_review(make_review("ghost", "r3"))
     archive.set_score("ghost", "r3", SentimentScore(2, -1))
     with pytest.raises(ArchiveError, match=r"unknown apps: \['ghost'\]"):
-        archive.scored_rows()
+        archive.scored_view().rows
 
 
 def test_roundtrip_identity(tmp_path):
@@ -433,7 +433,7 @@ def test_loader_equals_reference_loader(text):
     assert loaded.load_skips == expected.load_skips
     for table in "apps", "reviews", "releases", "scores":
         assert list(getattr(loaded, table)) == list(getattr(expected, table))
-    assert _rows_or_error(loaded.scored_rows) == _rows_or_error(
+    assert _rows_or_error(lambda: loaded.scored_view().rows) == _rows_or_error(
         lambda: reference_scored_rows(expected)
     )
     assert warnings == expected_warnings
@@ -507,12 +507,12 @@ def test_sidecar_view_equals_full_load_view(archive):
 @given(scored_archives())
 def test_scored_rows_equal_reference_rows(archive):
     expected = reference_scored_rows(archive)
-    assert archive.scored_rows() == expected
+    assert archive.scored_view().rows == expected
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "archive.jsonl"
         save_archive(archive, path)
         # a loaded archive shares one score object per distinct score
-        assert load_archive(path).scored_rows() == expected
+        assert load_archive(path).scored_view().rows == expected
 
 
 # --- the writer against its reference ---------------------------------------
@@ -871,6 +871,10 @@ def test_failed_sidecar_write_of_a_miss_changes_nothing(tmp_path, monkeypatch, c
         assert load_scored_view(path) == archive.scored_view()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no .tmp left
     assert [r.levelno for r in caplog.records if "not written" in r.getMessage()] == [logging.DEBUG]
+    if fails == "_write_view":  # the writer's one sidecar writer fails it too
+        with pytest.raises(PermissionError, match="read-only"):
+            save_archive(random_archive(random.Random(14), n_reviews=20), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_unscored_save_removes_sidecar_and_view_refuses(tmp_path):
@@ -896,6 +900,28 @@ def test_failed_sidecar_write_keeps_old_archive_and_leaves_no_tmp(tmp_path, monk
     monkeypatch.setattr(store, "_write_view", failing_write_view)
     with pytest.raises(OSError, match="disk full"):
         save_archive(random_archive(random.Random(8), n_reviews=10), path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_lone_surrogate_past_256k_characters_fails_the_save_as_text_mode_does(tmp_path):
+    # far enough in that a writer encoding ~2^18 characters at a time has
+    # written a chunk before the line that cannot be encoded
+    path = tmp_path / "archive.jsonl"
+    save_archive(random_archive(random.Random(9), n_reviews=10), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    archive = Archive()
+    archive.add_app(make_app("app0"))
+    for i in range(300):
+        archive.add_review(make_review("app0", f"r{i:03}", body="ünï 😀 " * 150))
+        archive.set_score("app0", f"r{i:03}", score_for_combined(2))
+    assert sum(r.text_length for r in archive.reviews.values()) > 1 << 18
+    archive.add_review(make_review("app0", "r999", body="lone \ud800 surrogate"))
+    archive.set_score("app0", "r999", score_for_combined(-3))
+    with pytest.raises(UnicodeEncodeError) as expected:
+        reference_archive_text(archive)
+    with pytest.raises(UnicodeEncodeError) as raised:
+        save_archive(archive, path)
+    assert str(raised.value) == str(expected.value)  # the character and its position
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

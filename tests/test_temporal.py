@@ -63,7 +63,7 @@ def test_bin_arithmetic_two_weeks():
     start = dt.date(2016, 1, 4)
     add_scored_review(archive, "app1", "r0", 3, date=start)
     add_scored_review(archive, "app1", "r1", -3, date=start + dt.timedelta(days=7))
-    series = weekly_aggregate(archive, "app1", start, start + dt.timedelta(days=13))
+    series = weekly_aggregate(archive.scored_view(), "app1", start, start + dt.timedelta(days=13))
     assert len(series.points) == 2
     assert series.points[0] == WeekPoint(0, 3.0, 1, pytest.approx(13.0))
     assert series.points[1].week_index == 1
@@ -74,7 +74,7 @@ def test_paper_window_has_50_bins():
     archive = Archive()
     archive.add_app(make_app("app1"))
     add_scored_review(archive, "app1", "r0", 2, date=WINDOW_START)
-    series = weekly_aggregate(archive, "app1", WINDOW_START, WINDOW_END)
+    series = weekly_aggregate(archive.scored_view(), "app1", WINDOW_START, WINDOW_END)
     assert len(series.points) == 50
 
 
@@ -83,7 +83,7 @@ def test_empty_weeks_have_no_fabricated_means():
     archive.add_app(make_app("app1"))
     add_scored_review(archive, "app1", "r0", 2, date=WINDOW_START)
     series = weekly_aggregate(
-        archive, "app1", WINDOW_START, WINDOW_START + dt.timedelta(days=20)
+        archive.scored_view(), "app1", WINDOW_START, WINDOW_START + dt.timedelta(days=20)
     )
     assert series.points[1].mean_combined is None
     assert series.points[1].n_reviews == 0
@@ -95,7 +95,7 @@ def test_undefined_reviews_not_counted():
     add_scored_review(archive, "app1", "r0", None, date=WINDOW_START)
     add_scored_review(archive, "app1", "r1", 4, date=WINDOW_START)
     series = weekly_aggregate(
-        archive, "app1", WINDOW_START, WINDOW_START + dt.timedelta(days=6)
+        archive.scored_view(), "app1", WINDOW_START, WINDOW_START + dt.timedelta(days=6)
     )
     assert series.points[0].n_reviews == 1
     assert series.points[0].mean_combined == 4.0
@@ -113,7 +113,7 @@ def test_review_count_conservation_and_order_invariance():
             date = WINDOW_START + dt.timedelta(days=rng.randrange(-30, span + 30))
             archive.add_release(Release(f"app{rng.randrange(4)}", f"1.{i}", date, ""))
         app_ids = sorted(archive.apps)
-        all_series = weekly_aggregates(archive, app_ids, WINDOW_START, WINDOW_END)
+        all_series = weekly_aggregates(archive.scored_view(), app_ids, WINDOW_START, WINDOW_END)
         assert [series.app_id for series in all_series] == app_ids
         for app_id, series in zip(app_ids, all_series):
             counts = [0] * len(series.points)
@@ -131,7 +131,7 @@ def test_review_count_conservation_and_order_invariance():
                 if release.app_id == app_id
                 and WINDOW_START <= release.date <= WINDOW_END
             )
-            assert weekly_aggregate(archive, app_id, WINDOW_START, WINDOW_END) == series
+            assert weekly_aggregate(archive.scored_view(), app_id, WINDOW_START, WINDOW_END) == series
 
         # rebuild the archive in a shuffled insertion order
         shuffled = Archive()
@@ -146,7 +146,7 @@ def test_review_count_conservation_and_order_invariance():
             shuffled.set_score(key[0], key[1], archive.scores[key])
         for release in releases:
             shuffled.add_release(release)
-        assert weekly_aggregates(shuffled, app_ids, WINDOW_START, WINDOW_END) == all_series
+        assert weekly_aggregates(shuffled.scored_view(), app_ids, WINDOW_START, WINDOW_END) == all_series
 
 
 def test_releases_mapped_to_bins():
@@ -157,14 +157,14 @@ def test_releases_mapped_to_bins():
         Release("app1", "5.0.6", WINDOW_START + dt.timedelta(days=38 * 7 + 2), "")
     )
     archive.add_release(Release("app1", "9.9", dt.date(2017, 5, 1), "outside"))
-    series = weekly_aggregate(archive, "app1", WINDOW_START, WINDOW_END)
+    series = weekly_aggregate(archive.scored_view(), "app1", WINDOW_START, WINDOW_END)
     assert series.releases == ((38, "5.0.6"),)
 
 
 def test_unknown_app_rejected():
     archive = Archive()
     with pytest.raises(ValueError, match="not in archive"):
-        weekly_aggregate(archive, "ghost", WINDOW_START, WINDOW_END)
+        weekly_aggregate(archive.scored_view(), "ghost", WINDOW_START, WINDOW_END)
 
 
 def test_unscored_review_rejected():
@@ -174,14 +174,14 @@ def test_unscored_review_rejected():
     archive.add_app(make_app("app1"))
     archive.add_review(make_review("app1", "r0", date=WINDOW_START))
     with pytest.raises(ValueError, match="run score first"):
-        weekly_aggregate(archive, "app1", WINDOW_START, WINDOW_END)
+        weekly_aggregate(archive.scored_view(), "app1", WINDOW_START, WINDOW_END)
 
 
 def test_start_after_end_rejected():
     archive = Archive()
     archive.add_app(make_app("app1"))
     with pytest.raises(ValueError):
-        weekly_aggregate(archive, "app1", WINDOW_END, WINDOW_START)
+        weekly_aggregate(archive.scored_view(), "app1", WINDOW_END, WINDOW_START)
 
 
 # --- pattern classification ---------------------------------------------------
@@ -374,4 +374,4 @@ def test_qualifying_apps_strict_threshold():
         add_scored_review(archive, "busy", f"b{i}", 2, date=WINDOW_START)
     for i in range(10):
         add_scored_review(archive, "quiet", f"q{i}", 2, date=WINDOW_START)
-    assert qualifying_apps(archive, WINDOW_START, WINDOW_END, min_reviews=10) == ["busy"]
+    assert qualifying_apps(archive.scored_view(), WINDOW_START, WINDOW_END, min_reviews=10) == ["busy"]
