@@ -15,6 +15,7 @@ import datetime as dt
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 from typing import IO
@@ -200,7 +201,9 @@ def cmd_score(args) -> int:
             archive.set_score(app_id, review_id, score)
         write_archive(archive, path)
     total = len(archive.scores)
-    undefined = sum(1 for s in archive.scores.values() if combine(s) is None)
+    # at most 25 distinct scores, so combine each once
+    counts = Counter(archive.scores.values())
+    undefined = sum(n for score, n in counts.items() if combine(score) is None)
     print(
         f"scored {total} reviews ({total - undefined} classified, "
         f"{undefined} undefined = {undefined / total:.4%})"

@@ -18,7 +18,9 @@ tokens: one scan finds the emoticons, ``str.split`` cuts the text
 between them into whitespace chunks, and each chunk maps to the
 (score, boost) of the one word it holds, or to nothing when it is all
 punctuation. That mapping is remembered per lexicon in a memo of at
-most ``CHUNK_MEMO_LIMIT`` chunks.
+most ``CHUNK_MEMO_LIMIT`` chunks. A chunk the memo lacks holds its
+token's place until the pass ends; then the text's unseen words are
+normalized together, joined by "\n", looked up and remembered.
 
 ``score_reviews`` scores a batch. When its text is long enough to pay
 for starting workers, it splits the batch across the CPUs the process
@@ -55,24 +57,27 @@ CHUNK_MEMO_LIMIT = 1 << 14
 
 # Review text (title + body characters) each process must get before
 # ``score_reviews`` splits a batch: worker start-up times scorer
-# throughput. A spawned worker takes about 0.17 s to start and import
-# the package (0.15-0.19 s for an empty task; the benchmark's setup_s).
-# In that time the scorer reads about 0.43 M characters of long reviews
-# with rare words (2.3-2.7 M chars/s, score_long_tail) or 1.0 M of short,
-# repetitive ones (6.1 M chars/s, score_pipeline); 2-vCPU VM, Python
-# 3.11.7. The upper end keeps cheap text serial: score_pipeline (about
-# 1.45 M characters) stays in one process, score_long_tail (about
-# 3.15 M) splits in two.
+# throughput. A spawned worker takes about 0.05 s to start, import the
+# package and score a first small task (0.045-0.053 s). In that time the
+# scorer, emoji substitution included, reads about 0.5 M characters of
+# long reviews with rare words (10.7 M chars/s, score_long_tail) or 0.9 M
+# of short, repetitive ones (17.5 M chars/s, score_pipeline); 2-vCPU VM,
+# Python 3.11.7, medians of 5 (BENCH_19.json, "split_constants"). The
+# upper end keeps cheap text serial: score_pipeline (about 1.44 M
+# characters) stays in one process, where a forced split takes 0.094 s
+# against 0.082 s serial; score_long_tail (about 3.19 M) splits in two,
+# 0.233 s against 0.298 s serial.
 MIN_CHARS_PER_PROCESS = 1_000_000
 
-# Review text in one task of a split batch: about 25 ms of scoring at
-# 2.5 M chars/s. A worker holds at most three unfinished tasks, so after
-# its own share this process waits about three tasks at most (0.00-0.06
-# s, median 0.02 s, over 10 runs of score_long_tail: 49 tasks, 16-27 of
+# Review text in one task of a split batch: about 6 ms of scoring at
+# 10.7 M chars/s. A worker holds at most three unfinished tasks, so after
+# its own share this process waits about three tasks at most (0.000-0.014
+# s, median 0.004 s, over 10 runs of score_long_tail: 49 tasks, 16-20 of
 # them scored by the worker, 2 processes, 2-vCPU VM).
 CHARS_PER_TASK = 64_000
 
 _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
+_RUNS = re.compile(r"(.)\1\1+")
 _UNSEEN = object()
 
 
@@ -90,17 +95,18 @@ class SentimentScore:
             raise ValueError(f"negative strength {self.negative} outside [-5,-1]")
 
 
-def _two_letters(match: re.Match) -> str:
-    # a callable, because Python 3.11 expands a template such as r"\1\1"
-    # in Python on every match
-    return match[1] * 2
+def _collapse_run(match: re.Match) -> str:
+    run = match[0]
+    return match[1] * 2 if _REPEATED_LETTERS.match(run) else run
 
 
-def _normalize_word(surface: str) -> str:
-    word = surface.lower()
-    if _REPEATED_LETTERS.search(word):
-        word = _REPEATED_LETTERS.sub(_two_letters, word)
-    return word
+def _normalize(text: str) -> str:
+    """Lowercase ``text`` and collapse its letter runs of three or more to
+    two. Words joined by "\n" normalize as each would alone: "\n" is
+    neither cased nor case-ignorable, so the final-sigma rule of
+    ``str.lower`` stops there, and no run crosses it."""
+    # any character's runs are cheap to find; only the letters' shrink
+    return _RUNS.sub(_collapse_run, text.lower())
 
 
 def _is_punctuation(ch: str) -> bool:
@@ -111,10 +117,9 @@ def _clamp(value: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, value))
 
 
-def _chunk_entry(lexicon: Lexicon, chunk: str) -> tuple[int, int | None] | None:
-    """(score, boost) of the word a whitespace chunk holds once its leading
-    and trailing punctuation is peeled off, or None when the chunk is all
-    punctuation; the boost is None unless the word is a booster."""
+def _peel(chunk: str) -> str:
+    """The word a whitespace chunk holds once its leading and trailing
+    punctuation is peeled off; empty when the chunk is all punctuation."""
     i, j = 0, len(chunk)
     if not chunk[0].isalnum():  # no letter or digit is punctuation
         while i < j and _is_punctuation(chunk[i]):
@@ -122,11 +127,7 @@ def _chunk_entry(lexicon: Lexicon, chunk: str) -> tuple[int, int | None] | None:
     if not chunk[-1].isalnum():
         while j > i and _is_punctuation(chunk[j - 1]):
             j -= 1
-    if i == j:
-        return None
-    term = _normalize_word(chunk[i:j])
-    score = lexicon.sentiment_terms.get(lexicon.slang.get(term, term), 0)
-    return score, lexicon.boosters.get(term)
+    return chunk[i:j]
 
 
 def score_text(lexicon: Lexicon, text: str) -> SentimentScore:
@@ -143,6 +144,11 @@ def score_text(lexicon: Lexicon, text: str) -> SentimentScore:
     parts = pattern.split(text) if pattern is not None else (text,)
     scores: list[int] = []  # of the tokens that are not punctuation
     boosters: list[tuple[int, int]] = []  # (token index, boost)
+    # chunks the memo lacks, resolved together after the loop: each one's
+    # token index, the chunk and the word it holds
+    slots: list[int] = []
+    chunks: list[str] = []
+    words: list[str] = []
     for k, part in enumerate(parts):
         if k & 1:
             scores.append(lexicon.emoticons[part])
@@ -150,15 +156,33 @@ def score_text(lexicon: Lexicon, text: str) -> SentimentScore:
         for chunk in part.split():
             entry = memo.get(chunk, _UNSEEN)
             if entry is _UNSEEN:
-                entry = _chunk_entry(lexicon, chunk)
-                if len(memo) >= CHUNK_MEMO_LIMIT:
-                    memo.clear()
-                memo[chunk] = entry
-            if entry is not None:
+                word = chunk if chunk[0].isalnum() and chunk[-1].isalnum() else _peel(chunk)
+                if not word:
+                    if len(memo) >= CHUNK_MEMO_LIMIT:
+                        memo.clear()
+                    memo[chunk] = None
+                    continue
+                slots.append(len(scores))
+                chunks.append(chunk)
+                words.append(word)
+                scores.append(0)
+            elif entry is not None:
                 score, boost = entry
                 if boost is not None:
                     boosters.append((len(scores), boost))
                 scores.append(score)
+
+    if words:
+        terms, slang, booster_terms = lexicon.sentiment_terms, lexicon.slang, lexicon.boosters
+        for slot, chunk, term in zip(slots, chunks, _normalize("\n".join(words)).split("\n")):
+            score = terms.get(slang.get(term, term), 0)
+            boost = booster_terms.get(term)
+            if len(memo) >= CHUNK_MEMO_LIMIT:
+                memo.clear()
+            memo[chunk] = score, boost
+            scores[slot] = score
+            if boost is not None:
+                boosters.append((slot, boost))
 
     last = len(scores) - 1
     boosts: dict[int, int] = {}

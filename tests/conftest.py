@@ -2,8 +2,13 @@ import threading
 from http.server import ThreadingHTTPServer
 
 import pytest
+from hypothesis import settings
 
 from helpers import Stub
+
+# ten times the default examples, for property tests that do not pin their
+# own count: pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import random
 from itertools import pairwise
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reviewsent import engine
@@ -148,7 +148,7 @@ LETTER_RUNS = st.lists(st.tuples(st.characters(), st.integers(1, 5))).map(
 @given(st.one_of(st.text(), LETTER_RUNS))
 def test_letter_run_collapse_matches_template_substitution(word):
     expected = engine._REPEATED_LETTERS.sub(r"\1\1", word.lower())
-    assert engine._normalize_word(word) == expected
+    assert engine._normalize(word) == expected
 
 
 def test_elongated_word_matches_after_collapse():
@@ -304,6 +304,62 @@ def test_chunk_memo_stays_within_limit(monkeypatch):
     for _ in range(200):
         words = [rng.choice(PIECES) + str(rng.randrange(50)) for _ in range(rng.randint(0, 12))]
         text = " ".join(words + [rng.choice(PIECES)])
+        assert score_text(lexicon, text) == reference_score_text(lexicon, text)
+        assert len(lexicon._compiled.chunks) <= 8
+
+
+# Pieces whose lowercasing or run collapse depends on their neighbours: the
+# scorer normalizes the unseen words of a text joined by "\n" in one go.
+EDGE_PIECES = [
+    "ΟΔΟΣ", "Σ", "(ΣΑΣ).", "ΣΣΣ", "ΣΣ.ΣΣΣ",  # final sigma at word edges
+    "İ", "İ.", "(İ", "«İİİ»",
+    "1111", "____", "x____", "²²²", "x²²²", "ⅫⅫⅫ",  # runs that are not letters
+    "\u0301good", "good\u0301", "\u02b0\u02b0\u02b0", "good\u02b0", "\u02bcok",  # marks, modifier letters
+    "aa.aaa", "oo!ooo", "zz-zzz", "zzz.zz",  # runs cut by punctuation
+]
+EDGE_LEXICON = dataclasses.replace(
+    PROPERTY_LEXICON,
+    sentiment_terms={
+        **PROPERTY_LEXICON.sentiment_terms,
+        "οδος": -2, "σ": 1, "σας": -5, "σσς": 5, "i\u0307": 2, "1111": 4, "x____": -1,
+        "²²": 3, "x²²": -3, "ⅻⅻ": 1, "aa.aa": 3, "oo!oo": -4, "zz.zz": 5,
+    },
+    boosters={**PROPERTY_LEXICON.boosters, "\u02b0\u02b0": 2, "\u02bcok": -1},
+)
+EDGE_TEXT = st.lists(
+    st.tuples(st.sampled_from(EDGE_PIECES + PIECES), st.sampled_from(SEPARATORS)), max_size=16
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+
+
+@given(EDGE_TEXT)
+# a final sigma that a cased neighbour would turn medial if the join let it
+@example("ΟΔΟΣ GREAT (ΣΑΣ). Great ΣΣΣ\tzoo")
+@example("«İİİ» ΣΣ.ΣΣΣ\u00a0ΟΔΟΣ goodgreat")
+def test_batched_words_match_token_reference(text):
+    lexicon = dataclasses.replace(EDGE_LEXICON)  # a fresh, empty memo
+    expected = reference_score_text(lexicon, text)
+    assert score_text(lexicon, text) == expected  # every word unseen
+    assert score_text(lexicon, text) == expected  # every word from the memo
+
+
+def test_text_with_more_unseen_words_than_the_memo_holds(monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_MEMO_LIMIT", 8)
+    lexicon = dataclasses.replace(PROPERTY_LEXICON)  # a fresh, empty memo
+    rng = random.Random(1907)
+    # distinct chunks that still hold lexicon words: "go{n}d" is "good",
+    # "zo{n}" is "zoo", and punctuation peels off the rest
+    shapes = [
+        lambda n: "g" + "o" * n + "d",
+        lambda n: "z" + "o" * n,
+        lambda n: "very" + "!" * n,
+        lambda n: "(" * n + "sad",
+        lambda n: "«" * n + "so" + "»" * n,
+        lambda n: "meh" + "." * n,
+    ]
+    for _ in range(50):
+        words = [rng.choice(shapes)(rng.randint(3, 40)) for _ in range(rng.randint(9, 40))]
+        text = " ".join(words)
+        assert len(set(words)) > 8
         assert score_text(lexicon, text) == reference_score_text(lexicon, text)
         assert len(lexicon._compiled.chunks) <= 8
 
