@@ -23,23 +23,25 @@ token's place until the pass ends; then the text's unseen words are
 normalized together, joined by "\n", looked up and remembered.
 
 ``score_reviews`` scores a batch. When its text is long enough to pay
-for starting workers, it splits the batch across the CPUs the process
-may use: the calling process scores tasks from the front of the batch
-and hands tasks from the back to the workers, at most three unfinished
-per worker, until the two ends meet.
+for starting workers, and the process may fork safely, it cuts the
+batch into one contiguous slice per CPU the process may use: forked
+workers score every slice but the first, which the calling process
+scores itself.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import sys
+import threading
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import TYPE_CHECKING, Sequence
 
-from .emojis import EmojiEntry, EmojiLexicon, substitute_emojis
+from .emojis import EmojiLexicon, substitute_emojis
 from .lexicon import Lexicon
 
 if TYPE_CHECKING:
@@ -57,24 +59,16 @@ CHUNK_MEMO_LIMIT = 1 << 14
 
 # Review text (title + body characters) each process must get before
 # ``score_reviews`` splits a batch: worker start-up times scorer
-# throughput. A spawned worker takes about 0.05 s to start, import the
-# package and score a first small task (0.045-0.053 s). In that time the
-# scorer, emoji substitution included, reads about 0.5 M characters of
-# long reviews with rare words (10.7 M chars/s, score_long_tail) or 0.9 M
-# of short, repetitive ones (17.5 M chars/s, score_pipeline); 2-vCPU VM,
-# Python 3.11.7, medians of 5 (BENCH_19.json, "split_constants"). The
-# upper end keeps cheap text serial: score_pipeline (about 1.44 M
-# characters) stays in one process, where a forced split takes 0.094 s
-# against 0.082 s serial; score_long_tail (about 3.19 M) splits in two,
-# 0.233 s against 0.298 s serial.
+# throughput. A forked worker starts on its slice 0.020-0.029 s into the
+# call (median 0.024 s). In that time the scorer, emoji substitution
+# included, reads about 0.25 M characters of long reviews with rare words
+# (10.4 M chars/s, score_long_tail) or 0.45 M of short, repetitive ones
+# (18.3 M chars/s, score_pipeline); 2-vCPU VM, Python 3.11.7
+# (BENCH_20.json). score_pipeline (about 1.44 M characters) stays in one
+# process: a forced split takes 0.074 s against 0.079 s serial, inside
+# the spread of both; score_long_tail (about 3.19 M) splits in two,
+# 0.177 s against 0.308 s serial.
 MIN_CHARS_PER_PROCESS = 1_000_000
-
-# Review text in one task of a split batch: about 6 ms of scoring at
-# 10.7 M chars/s. A worker holds at most three unfinished tasks, so after
-# its own share this process waits about three tasks at most (0.000-0.014
-# s, median 0.004 s, over 10 runs of score_long_tail: 49 tasks, 16-20 of
-# them scored by the worker, 2 processes, 2-vCPU VM).
-CHARS_PER_TASK = 64_000
 
 _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 _RUNS = re.compile(r"(.)\1\1+")
@@ -236,19 +230,21 @@ def score_reviews(
 
     With more than one usable CPU and at least ``MIN_CHARS_PER_PROCESS``
     characters of title and body per process, the reviews are cut into
-    contiguous tasks of about ``CHARS_PER_TASK`` characters. This process
-    scores them from the start of the batch. Before each task it hands
-    tasks from the end of the batch to spawned workers, while fewer than
-    three per worker are unfinished, until the two ends meet; so each
-    process scores as much as its speed allows. The workers are gone when
-    the call returns. A worker's exception is raised here with its own
-    type; a worker that ends abruptly (killed, out of memory, or failed
-    to start) raises ``ChildProcessError`` within about one task.
+    one contiguous slice per process of about equal characters. Forked
+    workers inherit the lexicons and the reviews and score every slice
+    but the first; this process scores the first, then collects theirs.
+    It forks only on Linux and only while this process runs a single
+    thread, since forking a process that runs threads is unsafe;
+    otherwise it scores the batch here. The workers are gone when the
+    call returns. A worker's exception is raised here with its own type;
+    a worker that ends abruptly (killed, out of memory, or failed to
+    start) raises ``ChildProcessError`` once this process has scored its
+    own slice.
     """
     sizes = [len(review.title) + len(review.body) for review in reviews]
-    chars = sum(sizes)
-    processes = min(usable_cpus(), chars // MIN_CHARS_PER_PROCESS)
-    if processes < 2:
+    processes = min(usable_cpus(), sum(sizes) // MIN_CHARS_PER_PROCESS)
+    slices = list(pairwise(_slice_bounds(sizes, processes)))
+    if len(slices) < 2 or sys.platform != "linux" or threading.active_count() > 1:
         return [score_review(lexicon, review, emoji_lexicon) for review in reviews]
 
     # imported here: a serial call should not pay for them
@@ -256,41 +252,19 @@ def score_reviews(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    tables = tuple(
-        dict(table)
-        for table in (lexicon.sentiment_terms, lexicon.boosters, lexicon.emoticons, lexicon.slang)
-    )
-    entries = None if emoji_lexicon is None else [
-        (entry.emoji, entry.occurrences, entry.polarity) for entry in emoji_lexicon.entries
-    ]
-    tasks = list(pairwise(_slice_bounds(sizes, chars // CHARS_PER_TASK)))
     pool = ProcessPoolExecutor(
-        processes - 1,
-        # spawn, not fork: forking a process that runs threads is unsafe
-        mp_context=multiprocessing.get_context("spawn"),
+        len(slices) - 1,
+        # fork shares the lexicons and reviews without pickling them
+        mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(tables, entries),
+        initargs=(lexicon, reviews, emoji_lexicon),
     )
-    # one task running and two queued per worker, so a worker rarely
-    # waits for this process to hand it the next one
-    depth = 3 * (processes - 1)
-    handed = []  # futures of tasks[back:], last task first
-    front, back = 0, len(tasks)
-    scores: list[SentimentScore] = []
     try:
-        while front < back:
-            busy = sum(not future.done() for future in handed)
-            while busy < depth and back > front + 1:
-                back -= 1
-                lo, hi = tasks[back]
-                pairs = [(r.title, r.body) for r in reviews[lo:hi]]
-                handed.append(pool.submit(_score_pairs, pairs))
-                busy += 1
-            lo, hi = tasks[front]
-            scores += [score_review(lexicon, r, emoji_lexicon) for r in reviews[lo:hi]]
-            front += 1
-        for future in reversed(handed):
-            scores += [SentimentScore(p, n) for p, n in future.result()]
+        handed = [pool.submit(_score_slice, lo, hi) for lo, hi in slices[1:]]
+        lo, hi = slices[0]
+        scores = [score_review(lexicon, review, emoji_lexicon) for review in reviews[lo:hi]]
+        for future in handed:
+            scores += future.result()
     except BrokenProcessPool as exc:
         raise ChildProcessError(
             "a scoring worker process ended abruptly (killed, out of memory, or failed"
@@ -310,30 +284,19 @@ def _slice_bounds(sizes: list[int], parts: int) -> list[int]:
     return [0, *sorted(cuts - {len(sizes)}), len(sizes)]
 
 
-# a worker's lexicons, set once by ``_start_worker``
-_worker_state: tuple[Lexicon, EmojiLexicon | None] | None = None
+# a forked worker's lexicons and reviews, set once by ``_start_worker``
+_worker_state: tuple[Lexicon, Sequence["Review"], EmojiLexicon | None] | None = None
 
 
 def _start_worker(
-    tables: tuple[dict, dict, dict, dict],
-    emoji_entries: list[tuple[str, int, int]] | None,
+    lexicon: Lexicon, reviews: Sequence["Review"], emoji_lexicon: EmojiLexicon | None
 ) -> None:
-    """Pool initializer of ``score_reviews``: the lexicons from plain data."""
+    """Pool initializer of ``score_reviews``: keep what the fork inherited."""
     global _worker_state
-    _worker_state = (
-        Lexicon(*tables),
-        None if emoji_entries is None else EmojiLexicon(
-            tuple(EmojiEntry(*entry) for entry in emoji_entries)
-        ),
-    )
+    _worker_state = lexicon, reviews, emoji_lexicon
 
 
-def _score_pairs(pairs: list[tuple[str, str]]) -> list[tuple[int, int]]:
-    """Worker side of ``score_reviews``: (positive, negative) of each
-    (title, body) pair of a task."""
-    lexicon, emoji_lexicon = _worker_state
-    scores = []
-    for title, body in pairs:
-        score = score_text(lexicon, _review_text(title, body, emoji_lexicon))
-        scores.append((score.positive, score.negative))
-    return scores
+def _score_slice(lo: int, hi: int) -> list[SentimentScore]:
+    """Worker side of ``score_reviews``: the scores of ``reviews[lo:hi]``."""
+    lexicon, reviews, emoji_lexicon = _worker_state
+    return [score_review(lexicon, review, emoji_lexicon) for review in reviews[lo:hi]]

@@ -207,9 +207,9 @@ def unscored_text_archive(
 
 
 def force_split(monkeypatch, cpus: int) -> list[str]:
-    """Make ``engine.score_reviews`` split any batch across ``cpus``
-    processes, in tasks of one review each. The returned list records
-    the start method of every pool it creates."""
+    """Make ``engine.score_reviews`` split any batch across up to ``cpus``
+    processes, as far as ``engine._slice_bounds`` cuts it into slices.
+    The returned list records the start method of every pool it creates."""
     methods: list[str] = []
     get_context = multiprocessing.get_context
 
@@ -220,7 +220,6 @@ def force_split(monkeypatch, cpus: int) -> list[str]:
     monkeypatch.setattr(multiprocessing, "get_context", recording)
     monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(engine, "MIN_CHARS_PER_PROCESS", 1)
-    monkeypatch.setattr(engine, "CHARS_PER_TASK", 1)
     return methods
 
 
@@ -230,15 +229,6 @@ class UnformattableTitle(str):
 
     def __format__(self, spec):
         raise LookupError(f"cannot format {str(self)!r}")
-
-
-class SlowTitle(str):
-    """A title that takes 0.2 s to format, so the review holding it keeps
-    its scorer busy for that long."""
-
-    def __format__(self, spec):
-        time.sleep(0.2)
-        return str(self)
 
 
 class KillingTitle(str):
@@ -253,15 +243,25 @@ class KillingTitle(str):
         return str(self)
 
 
+# A forked worker inherits every stand-in patched into ``engine``: a
+# stand-in that calls the function it replaces must call the one bound
+# before the patch, never ``engine.<name>``, which is the stand-in itself.
+
+
 def kill_worker(*args):
-    """Stands in for ``engine._score_pairs``: the worker dies on its first task."""
+    """Stands in for ``engine._score_slice``: the worker dies on its first task."""
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def start_worker_late(*args):
-    """Stands in for ``engine._start_worker``: the worker starts 1 s late."""
-    time.sleep(1)
-    engine._start_worker(*args)
+def start_worker_late(start_worker):
+    """A stand-in for ``engine._start_worker``, the ``start_worker`` given,
+    that starts the worker 1 s late."""
+
+    def late(*args):
+        time.sleep(1)
+        start_worker(*args)
+
+    return late
 
 
 def run_python(script: str, *args, timeout: float = 60) -> subprocess.CompletedProcess:

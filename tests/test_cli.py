@@ -422,7 +422,7 @@ def test_score_writes_identical_bytes_when_split(tmp_path, fixture_archive, caps
     expected = capsys.readouterr()
     pools = force_split(monkeypatch, cpus=2)
     assert run(["score", "--archive", fixture_archive]) == 0
-    assert pools == ["spawn"]
+    assert pools == ["fork"]
     assert capsys.readouterr() == expected
     assert fixture_archive.read_bytes() == serial.read_bytes()
     assert Path(f"{fixture_archive}.view").read_bytes() == Path(f"{serial}.view").read_bytes()
@@ -436,7 +436,7 @@ def test_topics_writes_identical_bytes_when_split(tmp_path, capsys, monkeypatch)
     expected = capsys.readouterr()
     pools = force_split(monkeypatch, cpus=2)
     assert run(["topics", "--labeled", labeled, "--out", tmp_path / "split.csv"]) == 0
-    assert pools == ["spawn"]
+    assert pools == ["fork"]
     assert capsys.readouterr() == expected
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
@@ -444,23 +444,13 @@ def test_topics_writes_identical_bytes_when_split(tmp_path, capsys, monkeypatch)
 DYING_WORKER_CLI_SCRIPT = """
 import multiprocessing
 import sys
-import time
 
 from helpers import kill_worker
 from reviewsent import cli, engine
 
 engine.usable_cpus = lambda: 2
-engine.MIN_CHARS_PER_PROCESS = engine.CHARS_PER_TASK = 1
-engine._score_pairs = kill_worker
-score_review = engine.score_review
-
-
-def slow_score_review(*args):
-    time.sleep(0.1)  # keeps this process busy until a worker has started
-    return score_review(*args)
-
-
-engine.score_review = slow_score_review
+engine.MIN_CHARS_PER_PROCESS = 1
+engine._score_slice = kill_worker
 code = cli.main(sys.argv[1:])
 print(f"exit {code}, children left: {len(multiprocessing.active_children())}")
 """

@@ -4,6 +4,7 @@ import dataclasses
 import multiprocessing
 import os
 import random
+import threading
 from itertools import pairwise
 
 import pytest
@@ -16,7 +17,6 @@ from reviewsent.emojis import EmojiEntry, EmojiLexicon
 from reviewsent.lexicon import Lexicon, load_builtin_lexicon
 
 from helpers import (
-    SlowTitle,
     UnformattableTitle,
     force_split,
     make_review,
@@ -386,12 +386,30 @@ def _uneven_reviews() -> list:
     return reviews
 
 
+def _scored_here(monkeypatch) -> list:
+    """Record each review that ``score_review`` scores in this process; a
+    forked worker appends to its own copy of the list."""
+    scored = []
+
+    def counting_score_review(lexicon, review, emoji_lexicon=None):
+        scored.append(review)
+        return score_review(lexicon, review, emoji_lexicon)
+
+    monkeypatch.setattr(engine, "score_review", counting_score_review)
+    return scored
+
+
 def test_split_scores_equal_serial_scores_on_uneven_reviews(monkeypatch):
     reviews = _uneven_reviews()
     serial = [score_review(PROPERTY_LEXICON, review, EMOJI) for review in reviews]
+    bounds = engine._slice_bounds([len(r.title) + len(r.body) for r in reviews], 3)
+    assert len(bounds) == 4  # three slices, so two workers
     pools = force_split(monkeypatch, cpus=3)
+    scored_here = _scored_here(monkeypatch)
     assert score_reviews(PROPERTY_LEXICON, reviews, EMOJI) == serial
-    assert pools == ["spawn"]
+    assert pools == ["fork"]
+    # this process scored the first slice, the workers the others
+    assert scored_here == reviews[: bounds[1]]
     assert multiprocessing.active_children() == []
 
 
@@ -411,20 +429,43 @@ def test_no_pool_on_one_cpu_or_below_the_threshold(monkeypatch, cpus, extra_char
     assert score_reviews(PROPERTY_LEXICON, reviews) == expected
 
 
+def test_no_pool_while_another_thread_runs(monkeypatch):
+    reviews = _uneven_reviews()
+    serial = [score_review(PROPERTY_LEXICON, review, EMOJI) for review in reviews]
+    force_split(monkeypatch, cpus=2)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert score_reviews(PROPERTY_LEXICON, reviews, EMOJI) == serial
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_no_pool_for_a_batch_of_one_slice(monkeypatch):
+    # two processes' worth of text, but one review cannot be cut in two
+    review = make_review("app1", "only", body="good " * 100)
+    pools = force_split(monkeypatch, cpus=2)
+    assert score_reviews(PROPERTY_LEXICON, [review]) == [score_review(PROPERTY_LEXICON, review)]
+    assert pools == []
+
+
 @pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "this_process"])
 def test_scoring_error_reaches_caller_with_its_type(monkeypatch, in_worker):
     bad = make_review("app1", "bad", title=UnformattableTitle("bad"), body="x")
     middle = make_review("app1", "middle", body="sad " * 3000)
-    # workers take tasks from the end; the slow title keeps this process
-    # on the first task until a worker has taken the last two
-    slow = make_review("app1", "slow", title=SlowTitle("slow"), body="x")
-    reviews = [slow, middle, bad] if in_worker else [bad, middle, slow]
+    other = make_review("app1", "other", body="x")
+    # two slices: the first two reviews, scored here, and the last one
+    reviews = [other, middle, bad] if in_worker else [bad, middle, other]
     pools = force_split(monkeypatch, cpus=2)
     with pytest.raises(LookupError, match="cannot format 'bad'") as raised:
         score_reviews(PROPERTY_LEXICON, reviews)
     # the pool chains a worker's exception to the worker's traceback
-    assert ("_score_pairs" in str(raised.value.__cause__)) == in_worker
-    assert pools == ["spawn"]
+    assert ("_score_slice" in str(raised.value.__cause__)) == in_worker
+    assert pools == ["fork"]
     assert multiprocessing.active_children() == []
 
 
@@ -441,11 +482,9 @@ from reviewsent.lexicon import load_builtin_lexicon
 
 engine.usable_cpus = lambda: 2
 engine.MIN_CHARS_PER_PROCESS = 1
-# one task per review, which holds more than a pipe's buffer
-engine.CHARS_PER_TASK = 100_000
 reviews = [
-    make_review("app1", f"r{i:02d}", title=KillingTitle("t"), body="good " * 20_000)
-    for i in range(40)
+    make_review("app1", f"r{i}", title=KillingTitle("t"), body="good " * 1000)
+    for i in range(4)
 ]
 try:
     engine.score_reviews(load_builtin_lexicon(), reviews)
@@ -461,22 +500,16 @@ def test_dead_worker_raises_instead_of_hanging():
     assert result.stdout == WORKER_ENDED + "; children left: 0\n"
 
 
-def test_late_worker_scores_at_most_three_tasks(monkeypatch):
+def test_late_worker_still_yields_serial_scores(monkeypatch):
     reviews = [make_review("app1", f"r{i:02d}", body="good day") for i in range(12)]
     serial = [score_review(PROPERTY_LEXICON, review) for review in reviews]
-    force_split(monkeypatch, cpus=2)
-    monkeypatch.setattr(engine, "_start_worker", start_worker_late)
-    scored_here = []
-
-    def counting_score_review(*args):
-        scored_here.append(args[1])
-        return score_review(*args)
-
-    monkeypatch.setattr(engine, "score_review", counting_score_review)
+    pools = force_split(monkeypatch, cpus=2)
+    monkeypatch.setattr(engine, "_start_worker", start_worker_late(engine._start_worker))
+    scored_here = _scored_here(monkeypatch)
     assert score_reviews(PROPERTY_LEXICON, reviews) == serial
-    # the worker was handed three tasks before it started; this process
-    # scored the rest
-    assert len(scored_here) >= 12 - 3
+    # the worker scored its half once it had started; this process, only its own
+    assert pools == ["fork"]
+    assert scored_here == reviews[:6]
     assert multiprocessing.active_children() == []
 
 
