@@ -1,4 +1,10 @@
-"""Reduce a dual (positive, negative) score to one value on the -5..+5 scale.
+"""The dual (positive, negative) score and its reduction to one value on
+the -5..+5 scale.
+
+A :class:`SentimentScore` holds a positive strength in [1,5] and a
+negative strength in [-5,-1]; building one outside those raises. This
+module imports nothing from the package, so the store and the reports
+read scores without loading the scorer.
 
 The positive strength wins when it outweighs the negative one and vice
 versa. Balanced scores are neutral (0) when weak, and unclassifiable
@@ -8,9 +14,11 @@ modeled as ``None`` and serialized as the literal string "undefined".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
-from .engine import SentimentScore
+POSITIVE_RANGE = (1, 5)
+NEGATIVE_RANGE = (-5, -1)
 
 UNDEFINED_LITERAL = "undefined"
 
@@ -25,11 +33,23 @@ class Polarity(Enum):
     UNDEFINED = "undefined"
 
 
+@dataclass(frozen=True, slots=True)
+class SentimentScore:
+    """Dual sentiment strengths: positive in [1,5], negative in [-5,-1]."""
+
+    positive: int
+    negative: int
+
+    def __post_init__(self):
+        if not POSITIVE_RANGE[0] <= self.positive <= POSITIVE_RANGE[1]:
+            raise ValueError(f"positive strength {self.positive} outside [1,5]")
+        if not NEGATIVE_RANGE[0] <= self.negative <= NEGATIVE_RANGE[1]:
+            raise ValueError(f"negative strength {self.negative} outside [-5,-1]")
+
+
 def combine(score: SentimentScore) -> int | None:
     """Combined sentiment of a dual score; ``None`` means unclassifiable."""
     p, n = score.positive, score.negative
-    if not (1 <= p <= 5 and -5 <= n <= -1):
-        raise ValueError(f"dual score ({p}, {n}) outside contract, scorer bug?")
     total = p + n
     if total > 0:
         return p

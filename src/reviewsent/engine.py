@@ -37,18 +37,15 @@ import sys
 import threading
 import unicodedata
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import TYPE_CHECKING, Sequence
 
+from .combine import SentimentScore
 from .emojis import EmojiLexicon, substitute_emojis
 from .lexicon import Lexicon
 
 if TYPE_CHECKING:
     from .store import Review
-
-POSITIVE_RANGE = (1, 5)
-NEGATIVE_RANGE = (-5, -1)
 
 # how many tokens ahead a booster may reach
 BOOSTER_WINDOW = 2
@@ -73,20 +70,6 @@ MIN_CHARS_PER_PROCESS = 1_000_000
 _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 _RUNS = re.compile(r"(.)\1\1+")
 _UNSEEN = object()
-
-
-@dataclass(frozen=True, slots=True)
-class SentimentScore:
-    """Dual sentiment strengths: positive in [1,5], negative in [-5,-1]."""
-
-    positive: int
-    negative: int
-
-    def __post_init__(self):
-        if not POSITIVE_RANGE[0] <= self.positive <= POSITIVE_RANGE[1]:
-            raise ValueError(f"positive strength {self.positive} outside [1,5]")
-        if not NEGATIVE_RANGE[0] <= self.negative <= NEGATIVE_RANGE[1]:
-            raise ValueError(f"negative strength {self.negative} outside [-5,-1]")
 
 
 def _collapse_run(match: re.Match) -> str:

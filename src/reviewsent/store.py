@@ -34,8 +34,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterator, Mapping, NamedTuple
 
-from .combine import combine, format_combined, parse_combined
-from .engine import SentimentScore
+from .combine import SentimentScore, combine, format_combined, parse_combined
 from .tables import read_rows
 
 log = logging.getLogger(__name__)

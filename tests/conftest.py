@@ -23,3 +23,4 @@ def stub_server():
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()

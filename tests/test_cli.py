@@ -112,6 +112,34 @@ def test_offline_command_loads_no_network_modules(tmp_path, fixture_archive):
     assert out.read_text(encoding="utf-8").startswith("category,")
 
 
+SCORER_MODULES = (
+    "reviewsent.engine",
+    "reviewsent.emojis",
+    "reviewsent.lexicon",
+    "reviewsent.client",
+)
+
+REPORT_IMPORTS_SCRIPT = """
+import sys
+import reviewsent.analytics, reviewsent.combine, reviewsent.store
+import reviewsent.tables, reviewsent.temporal
+print(*sorted(m for m in sys.argv[1:] if m in sys.modules))
+"""
+
+
+def test_report_modules_load_no_scorer():
+    # the archive and the reports read scores through the leaf ``combine``
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", REPORT_IMPORTS_SCRIPT, *SCORER_MODULES],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == []
+
+
 def test_ingest_from_stub_store_with_env_overrides(
     tmp_path, stub_server, monkeypatch, capsys
 ):
