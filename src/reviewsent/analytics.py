@@ -4,7 +4,7 @@ Covers the per-category summary table (counts, mean, SD, median,
 polarity shares), sentiment-versus-rating and sentiment-versus-price
 correlations, per-star box statistics, and dispersion per review topic.
 The archive reports take a ``ScoredView`` (from ``Archive.scored_view()``
-or ``store.load_scored_view``) and read its rows.
+or ``store.load_scored_view``) and read its columns.
 
 Conventions pinned here so results are reproducible: SD is the sample
 standard deviation (n-1) with the n=1 case defined as 0; quartiles use
@@ -20,12 +20,13 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from itertools import compress
+from typing import IO, Iterable, Mapping, Sequence
 
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
 from .combine import Polarity, combine, polarity_class  # noqa: F401
-from .store import ScoredRow, ScoredView
+from .store import ScoredView
 from .tables import fmt, read_rows, writer
 
 STRONG_NEGATIVE_CUTOFF = -4  # combined <= -4 counts as strongly negative
@@ -185,31 +186,34 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def summarize_by_category(view: ScoredView) -> list[CategorySummary]:
-    """Per-category counts, central statistics, and polarity shares of the view's rows."""
-    by_category: dict[str, list[ScoredRow]] = {}
-    for row in view.rows:
-        by_category.setdefault(row.category, []).append(row)
+    """Per-category counts, central statistics, and polarity shares of the view's reviews."""
+    members: dict[str, list[int]] = {}  # the positions of each category's reviews
+    for at, category in enumerate(view.category):
+        members.setdefault(category, []).append(at)
+    is_free, combined = view.is_free, view.combined
     return [
-        _summarize_category(category, members)
-        for category, members in sorted(by_category.items())
+        _summarize_category(category, [is_free[i] for i in at], [combined[i] for i in at])
+        for category, at in sorted(members.items())
     ]
 
 
 def overall_summary(view: ScoredView) -> CategorySummary:
-    """One summary row over all of the view's rows, labeled ``ALL``."""
-    return _summarize_category(OVERALL_CATEGORY, view.rows)
+    """One summary row over all of the view's reviews, labeled ``ALL``."""
+    return _summarize_category(OVERALL_CATEGORY, view.is_free, view.combined)
 
 
-def _summarize_category(category: str, members: list[ScoredRow]) -> CategorySummary:
-    total = len(members)
-    n_free = sum(1 for row in members if row.is_free)
-    defined = [row.combined for row in members if row.combined is not None]
+def _summarize_category(
+    category: str, is_free: list[bool], combined: list[int | None]
+) -> CategorySummary:
+    total = len(combined)
+    n_free = sum(is_free)
+    defined = [value for value in combined if value is not None]
     # count each combined value, then classify the few distinct values:
-    # hashing a Polarity member per row cost an eighth of `summarize`
+    # hashing a Polarity member per review cost an eighth of `summarize`
     shares = {polarity: 0 for polarity in Polarity}
-    counts = Counter(row.combined for row in members)
-    for combined, count in counts.items():
-        shares[polarity_class(combined)] += count
+    counts = Counter(combined)
+    for value, count in counts.items():
+        shares[polarity_class(value)] += count
     counts.pop(None, None)
     return CategorySummary(
         category=category,
@@ -232,9 +236,9 @@ def sentiment_by_rating(view: ScoredView) -> dict[int, RatingSummary]:
     Stars with no defined sentiment are absent from the result.
     """
     buckets: dict[int, list[int]] = {}
-    for row in view.rows:
-        if row.combined is not None:
-            buckets.setdefault(row.rating, []).append(row.combined)
+    for rating, combined in zip(view.rating, view.combined):
+        if combined is not None:
+            buckets.setdefault(rating, []).append(combined)
     summaries: dict[int, RatingSummary] = {}
     for rating, values in sorted(buckets.items()):
         q1 = quantile(values, 0.25)
@@ -261,25 +265,21 @@ def sentiment_by_rating(view: ScoredView) -> dict[int, RatingSummary]:
 
 def sentiment_vs_rating(view: ScoredView, include_neutral: bool = True) -> CorrelationResult:
     """Correlation of star rating with combined sentiment, review-level pairs."""
-    return _correlate(view, lambda row: float(row.rating), include_neutral)
+    return _correlate(view.rating, view.combined, include_neutral)
 
 
 def sentiment_vs_price(view: ScoredView, include_neutral: bool = True) -> CorrelationResult:
     """Correlation of app price with combined sentiment, review-level pairs."""
-    return _correlate(view, lambda row: row.price, include_neutral)
+    return _correlate(view.price, view.combined, include_neutral)
 
 
 def _correlate(
-    view: ScoredView, x_of: Callable[[ScoredRow], float], include_neutral: bool
+    x_column: list[float], combined: list[int | None], include_neutral: bool
 ) -> CorrelationResult:
-    rows = [
-        row
-        for row in view.rows
-        if row.combined is not None and (include_neutral or row.combined != 0)
-    ]
-    xs = [x_of(row) for row in rows]
-    ys = [float(row.combined) for row in rows]
-    return CorrelationResult(pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(rows))
+    kept = [value is not None and (include_neutral or value != 0) for value in combined]
+    xs = list(map(float, compress(x_column, kept)))
+    ys = list(map(float, compress(combined, kept)))
+    return CorrelationResult(pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(ys))
 
 
 # --- per-topic dispersion --------------------------------------------------

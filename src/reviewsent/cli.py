@@ -78,7 +78,7 @@ def _require_file(path: str, what: str) -> Path:
 def _load_view(args) -> ScoredView:
     """The scored view of the archive named by ``--archive``; it must hold reviews."""
     view = load_scored_view(_require_file(args.archive, "archive"))
-    if not view.rows:
+    if not view.app_id:
         raise CliError(NO_REVIEWS)
     return view
 

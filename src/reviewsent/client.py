@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,8 +40,9 @@ class ClientConfig:
     def __post_init__(self):
         if not self.base_url:
             raise ClientError("base_url must be nonempty")
-        if self.rate_limit <= 0:
-            raise ClientError(f"rate_limit must be > 0, got {self.rate_limit}")
+        # NaN and inf make the throttle's interval NaN or 0: no request waits
+        if not 0 < self.rate_limit < math.inf:
+            raise ClientError(f"rate_limit must be finite and > 0, got {self.rate_limit}")
         if self.max_retries < 0:
             raise ClientError(f"max_retries must be >= 0, got {self.max_retries}")
 

@@ -130,7 +130,9 @@ def _iter_entries(stream: IO[str], role: str) -> Iterator[tuple[int, str, str]]:
         yield lineno, term, value
 
 
-def _parse_scored(stream: IO[str], role: str, check) -> dict[str, int]:
+def _parse_scored(stream: IO[str], role: str, check, lower: bool = True) -> dict[str, int]:
+    """The scores of a dictionary file, keyed by term, lowercased unless
+    ``lower`` is false; a repeated key warns and its last entry wins."""
     entries: dict[str, int] = {}
     for lineno, term, value in _iter_entries(stream, role):
         try:
@@ -143,24 +145,27 @@ def _parse_scored(stream: IO[str], role: str, check) -> dict[str, int]:
             check(f"{role} term {term!r}", score)
         except LexiconError as exc:
             raise LexiconError(str(exc), line=lineno) from None
-        if term in entries:
+        key = term.lower() if lower else term
+        if key in entries:
             log.warning(
                 "%s: duplicate term %r at line %d, last entry wins", role, term, lineno
             )
-        entries[term] = score
+        entries[key] = score
     return entries
 
 
 def _parse_slang(stream: IO[str]) -> dict[str, str]:
+    """The lowercased canonical form of each lowercased slang term."""
     entries: dict[str, str] = {}
     for lineno, term, value in _iter_entries(stream, "slang"):
         if not value:
             raise LexiconError(f"slang: empty target for {term!r}", line=lineno)
-        if term in entries:
+        key = term.lower()
+        if key in entries:
             log.warning(
                 "slang: duplicate term %r at line %d, last entry wins", term, lineno
             )
-        entries[term] = value
+        entries[key] = value.lower()
     return entries
 
 
@@ -172,25 +177,18 @@ def load_lexicon(
 ) -> Lexicon:
     """Build a Lexicon from up to four readable text streams.
 
-    Missing streams yield empty dictionaries; an entirely empty lexicon
-    is valid and scores every text (1, -1).
+    Word terms are lowercased, emoticons kept verbatim. Missing streams
+    yield empty dictionaries; an entirely empty lexicon is valid and
+    scores every text (1, -1).
     """
     return Lexicon(
-        sentiment_terms=_lower_keys(
-            _parse_scored(sentiment, "sentiment", _check_score) if sentiment else {}
-        ),
-        boosters=_lower_keys(
-            _parse_scored(boosters, "boosters", _check_boost) if boosters else {}
-        ),
-        emoticons=_parse_scored(emoticons, "emoticons", _check_score)
+        sentiment_terms=_parse_scored(sentiment, "sentiment", _check_score) if sentiment else {},
+        boosters=_parse_scored(boosters, "boosters", _check_boost) if boosters else {},
+        emoticons=_parse_scored(emoticons, "emoticons", _check_score, lower=False)
         if emoticons
         else {},
-        slang={k.lower(): v.lower() for k, v in (_parse_slang(slang) if slang else {}).items()},
+        slang=_parse_slang(slang) if slang else {},
     )
-
-
-def _lower_keys(entries: dict[str, int]) -> dict[str, int]:
-    return {k.lower(): v for k, v in entries.items()}
 
 
 def load_lexicon_manifest(path: str | Path) -> Lexicon:

@@ -32,7 +32,7 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Iterator, Mapping, NamedTuple
+from typing import IO, Iterator, Mapping
 
 from .combine import SentimentScore, combine, format_combined, parse_combined
 from .tables import read_rows
@@ -117,30 +117,27 @@ class Release:
             raise ArchiveError("release app_id and version must be nonempty")
 
 
-class ScoredRow(NamedTuple):
-    """One scored review joined with its app: the table every report reads."""
-
-    app_id: str
-    category: str
-    is_free: bool
-    price: float
-    rating: int
-    date: dt.date
-    combined: int | None
-    text_length: int
-
-
 @dataclass(frozen=True, slots=True)
 class ScoredView:
-    """What the reports read from an archive: its scored rows, app ids and releases.
+    """What the reports read from an archive: one column per field of its
+    scored reviews joined with their apps, in review key order, then the
+    app ids and the ``(app_id, version, date)`` of each release in key order.
 
     ``Archive.scored_view()`` builds it from a loaded archive and
-    ``load_scored_view`` from the sidecar; every report function takes one.
+    ``load_scored_view`` from the sidecar, which stores the same lists;
+    every report function takes one.
     """
 
-    rows: list[ScoredRow]
+    app_id: list[str]
+    category: list[str]
+    is_free: list[bool]
+    price: list[float]
+    rating: list[int]
+    date: list[dt.date]
+    combined: list[int | None]
+    text_length: list[int]
     apps: frozenset[str]
-    releases: dict[tuple[str, str], Release]  # without notes
+    releases: list[tuple[str, str, dt.date]]
 
 
 @dataclass(repr=False)
@@ -193,35 +190,28 @@ class Archive:
         if not scores.keys() >= reviews.keys():
             unscored = len(reviews.keys() - scores.keys())
             raise ArchiveError(f"{unscored} reviews have no score; run score first")
-        # before any row is built, so that no other review's field raises first
+        # before any column is built, so that no other review's field raises first
         missing_apps = {r.app_id for r in reviews.values()} - self.apps.keys()
         if missing_apps:
             raise ArchiveError(f"reviews reference unknown apps: {sorted(missing_apps)}")
-        # an app's columns once per app, and combine once per score object:
-        # a loaded archive shares one object per distinct score
-        app_columns = {
-            app_id: (app.app_id, app.primary_category, app.is_free, app.price)
-            for app_id, app in self.apps.items()
-        }
+        # combine once per score object: a loaded archive shares one object
+        # per distinct score
         distinct = {id(score): score for score in scores.values()}
         combined = {at: combine(score) for at, score in distinct.items()}
-        rows: list[ScoredRow] = []
-        for key in sorted(reviews):
-            review = reviews[key]
-            # positional: keyword arguments make building the view ~1.6x slower
-            rows.append(
-                ScoredRow(
-                    *app_columns[review.app_id],
-                    review.rating,
-                    review.date,
-                    combined[id(scores[key])],
-                    review.text_length,
-                )
-            )
+        keys = sorted(reviews)
+        ordered = [reviews[key] for key in keys]
+        apps = [self.apps[review.app_id] for review in ordered]
         return ScoredView(
-            rows,
+            [app.app_id for app in apps],
+            [app.primary_category for app in apps],
+            [app.is_free for app in apps],
+            [app.price for app in apps],
+            [review.rating for review in ordered],
+            [review.date for review in ordered],
+            [combined[id(scores[key])] for key in keys],
+            [review.text_length for review in ordered],
             frozenset(self.apps),
-            {key: Release(r.app_id, r.version, r.date) for key, r in self.releases.items()},
+            [(r.app_id, r.version, r.date) for _, r in sorted(self.releases.items())],
         )
 
     def counts(self) -> dict[str, int]:
@@ -612,16 +602,15 @@ def _stream_key(stream: IO[bytes]) -> list[int]:
 
 
 def _write_view(view: ScoredView, key: list[int], path: Path) -> None:
-    """The sidecar of ``view`` for the archive bytes ``key`` describes: the
-    ``ScoredRow`` columns, the sorted app ids and the ``(app_id, version,
-    date)`` of each release in key order."""
-    columns = list(zip(*view.rows)) or [()] * len(ScoredRow._fields)
+    """The sidecar of ``view`` for the archive bytes ``key`` describes: its
+    columns, its sorted app ids and its releases."""
     payload = {
         "version": VIEW_VERSION,
         "key": key,
-        "columns": dict(zip(ScoredRow._fields, columns)),
+        # every field but the last two, apps and releases
+        "columns": {f.name: getattr(view, f.name) for f in fields(ScoredView)[:-2]},
         "apps": sorted(view.apps),
-        "releases": [(r.app_id, r.version, r.date) for _, r in sorted(view.releases.items())],
+        "releases": view.releases,
     }
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(_ENCODER.encode(payload))
@@ -638,25 +627,22 @@ def _read_view(path: Path) -> ScoredView:
     if payload["key"] != key:
         raise ArchiveError("sidecar describes other archive bytes")
     columns = payload["columns"]
-    if not isinstance(columns, dict) or set(columns) != set(ScoredRow._fields):
-        raise ArchiveError("sidecar columns do not match ScoredRow")
-    table = [columns[name] for name in ScoredRow._fields]
-    if not all(isinstance(column, list) for column in table) or len(set(map(len, table))) > 1:
-        raise ArchiveError("sidecar columns are not lists of one length")
-    dates = ScoredRow._fields.index("date")
-    table[dates] = map(dt.date.fromisoformat, table[dates])
+    if not isinstance(columns, dict) or not all(type(c) is list for c in columns.values()):
+        raise ArchiveError("sidecar columns are not lists")
+    if len(set(map(len, columns.values()))) > 1:  # a zip would drop reviews
+        raise ArchiveError("sidecar columns differ in length")
+    columns["date"] = list(map(dt.date.fromisoformat, columns["date"]))
     apps = payload["apps"]
     if not isinstance(apps, list) or not all(isinstance(a, str) for a in apps):
         raise ArchiveError("sidecar apps are not a list of ids")
     releases = [
-        Release(app_id, version, dt.date.fromisoformat(date))
+        (app_id, version, dt.date.fromisoformat(date))
         for app_id, version, date in payload["releases"]
     ]
-    return ScoredView(
-        list(map(ScoredRow, *table)),
-        frozenset(apps),
-        {(r.app_id, r.version): r for r in releases},
-    )
+    if not all(type(a) is type(v) is str and a and v for a, v, _ in releases):
+        raise ArchiveError("sidecar releases need a nonempty app_id and version")
+    # raises TypeError on a column name that is not a field
+    return ScoredView(**columns, apps=frozenset(apps), releases=releases)
 
 
 def load_scored_view(path: str | Path) -> ScoredView:

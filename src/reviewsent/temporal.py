@@ -60,15 +60,17 @@ class PatternConfig:
     min_weekly_reviews: int = 1
 
     def __post_init__(self):
-        if self.jump_threshold <= 0:
+        # written so that NaN fails each comparison: a NaN threshold would
+        # switch its labels off
+        if not self.jump_threshold > 0:
             raise ValueError("jump_threshold must be > 0")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.slope_threshold <= 0:
+        if not self.slope_threshold > 0:
             raise ValueError("slope_threshold must be > 0")
         if not 0 <= self.fit_threshold <= 1:
             raise ValueError("fit_threshold must be in [0,1]")
-        if self.low_variance < 0:
+        if not self.low_variance >= 0:
             raise ValueError("low_variance must be >= 0")
         if self.min_weekly_reviews < 1:
             raise ValueError("min_weekly_reviews must be >= 1")
@@ -132,7 +134,7 @@ def weekly_aggregates(
 ) -> list[WeeklySeries]:
     """Weekly series of each app over [start, end], consecutive 7-day bins.
 
-    One pass over the view's rows bins every app's reviews; only reviews
+    One pass over the view's columns bins every app's reviews; only reviews
     with a defined combined sentiment contribute. The view's releases
     inside the window are mapped to the same bins.
     """
@@ -144,20 +146,20 @@ def weekly_aggregates(
     n_weeks = (end - start).days // 7 + 1
     # per app: review count, combined sum and text length sum of each week
     bins = {app_id: ([0] * n_weeks, [0.0] * n_weeks, [0] * n_weeks) for app_id in app_ids}
-    for row in view.rows:
-        app_bins = bins.get(row.app_id)
-        if app_bins is None or row.combined is None or not start <= row.date <= end:
+    columns = zip(view.app_id, view.date, view.combined, view.text_length)
+    for app_id, date, combined, text_length in columns:
+        app_bins = bins.get(app_id)
+        if app_bins is None or combined is None or not start <= date <= end:
             continue
         count, combined_sum, length_sum = app_bins
-        week = (row.date - start).days // 7
+        week = (date - start).days // 7
         count[week] += 1
-        combined_sum[week] += row.combined
-        length_sum[week] += row.text_length
+        combined_sum[week] += combined
+        length_sum[week] += text_length
     releases: dict[str, list[tuple[int, str]]] = {app_id: [] for app_id in app_ids}
-    for release in view.releases.values():
-        if release.app_id in releases and start <= release.date <= end:
-            week = (release.date - start).days // 7
-            releases[release.app_id].append((week, release.version))
+    for app_id, version, date in view.releases:
+        if app_id in releases and start <= date <= end:
+            releases[app_id].append(((date - start).days // 7, version))
     series = []
     for app_id in app_ids:
         count, combined_sum, length_sum = bins[app_id]
@@ -343,9 +345,9 @@ def qualifying_apps(
     end: dt.date,
     min_reviews: int = DEFAULT_QUALIFYING_REVIEWS,
 ) -> list[str]:
-    """Apps with more than ``min_reviews`` of the view's rows inside the window."""
+    """Apps with more than ``min_reviews`` of the view's reviews inside the window."""
     counts: dict[str, int] = {}
-    for row in view.rows:
-        if start <= row.date <= end:
-            counts[row.app_id] = counts.get(row.app_id, 0) + 1
+    for app_id, date in zip(view.app_id, view.date):
+        if start <= date <= end:
+            counts[app_id] = counts.get(app_id, 0) + 1
     return sorted(app_id for app_id, n in counts.items() if n > min_reviews)

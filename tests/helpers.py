@@ -24,6 +24,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlparse
 
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from reviewsent.combine import combine, format_combined, parse_combined
 from reviewsent.emojis import SUBSTITUTIONS, EmojiLexicon
 from reviewsent.engine import BOOSTER_WINDOW
 from reviewsent.lexicon import Lexicon, emoticon_pattern
-from reviewsent.store import ArchiveError, Release, ScoredRow, save_archive
+from reviewsent.store import ArchiveError, Release, ScoredView, save_archive
 
 # A dual score whose combined sentiment is the given value. Note that
 # +1 and -1 are unreachable: p + n > 0 forces p >= 2, symmetrically for n.
@@ -596,8 +597,26 @@ def reference_load_archive(path) -> Archive:
     return archive
 
 
+class ScoredRow(NamedTuple):
+    """One scored review joined with its app: a row of a ``ScoredView``."""
+
+    app_id: str
+    category: str
+    is_free: bool
+    price: float
+    rating: int
+    date: dt.date
+    combined: int | None
+    text_length: int
+
+
+def view_rows(view: ScoredView) -> list[ScoredRow]:
+    """The rows of a view's columns, in review key order."""
+    return list(map(ScoredRow, *(getattr(view, name) for name in ScoredRow._fields)))
+
+
 def reference_scored_rows(archive: Archive) -> list[ScoredRow]:
-    """``Archive.scored_view().rows`` with every check and lookup spelled out per row."""
+    """The rows of ``Archive.scored_view()`` with every check and lookup spelled out per row."""
     unscored = len(archive.reviews.keys() - archive.scores.keys())
     if unscored:
         raise ArchiveError(f"{unscored} reviews have no score; run score first")

@@ -30,6 +30,7 @@ from helpers import (
     run_python,
     small_scored_archive,
     unscored_text_archive,
+    view_rows,
 )
 
 
@@ -349,6 +350,18 @@ def test_patterns_command(tmp_path, fixture_archive):
         assert labels  # never empty
 
 
+@pytest.mark.parametrize("flag", ["--jump-threshold", "--slope-threshold", "--low-variance"])
+def test_patterns_rejects_nan_threshold(tmp_path, fixture_archive, capsys, flag):
+    assert run(["score", "--archive", fixture_archive]) == 0
+    capsys.readouterr()
+    report = tmp_path / "patterns.csv"
+    window = ["--from", "2016-01-04", "--to", "2016-12-18"]
+    rc = run(["patterns", "--archive", fixture_archive, *window, flag, "nan", "--out", report])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+
+
 def _pattern_labels(tmp_path, archive, *flags) -> dict[str, str]:
     report = tmp_path / "patterns.csv"
     window = ["--from", "2016-01-04", "--to", "2016-12-18", "--min-reviews", "5"]
@@ -657,7 +670,7 @@ def test_ingest_during_a_reports_sidecar_write_succeeds(tmp_path, monkeypatch, c
     assert "45 reviews" in capsys.readouterr().out
     # the report's sidecar names the bytes it parsed, so it cannot hide the ingest
     view = store.load_scored_view(archive)
-    assert len(view.rows) == 45 and view == load_archive(archive).scored_view()
+    assert len(view_rows(view)) == 45 and view == load_archive(archive).scored_view()
     assert sorted(p.name for p in archive.parent.iterdir()) == ["archive.jsonl", "archive.jsonl.view"]
 
 

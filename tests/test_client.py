@@ -248,3 +248,6 @@ def test_rate_limit_config_validated():
         ClientConfig(base_url="http://x", rate_limit=0)
     with pytest.raises(ClientError):
         ClientConfig(base_url="")
+    for rate_limit in float("nan"), float("inf"):  # either would turn the throttle off
+        with pytest.raises(ClientError, match="rate_limit must be finite and > 0"):
+            ClientConfig(base_url="http://x", rate_limit=rate_limit)

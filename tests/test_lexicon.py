@@ -69,6 +69,31 @@ def test_duplicate_term_last_wins_with_warning(caplog):
     assert any("duplicate" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize(
+    "role, field, text, expected",
+    [
+        ("sentiment", "sentiment_terms", "Good\t3\ngood\t-2", {"good": -2}),
+        ("boosters", "boosters", "VERY\t2\nvery\t1", {"very": 1}),
+        ("slang", "slang", "Gr8\tgreat\ngr8\tGrand", {"gr8": "grand"}),
+    ],
+)
+def test_case_variant_terms_are_duplicates(caplog, role, field, text, expected):
+    with caplog.at_level(logging.WARNING):
+        lex = load_lexicon(**{role: io.StringIO(text)})
+    assert getattr(lex, field) == expected
+    (term,) = expected
+    assert [r.message for r in caplog.records] == [
+        f"{role}: duplicate term {term!r} at line 2, last entry wins"
+    ]
+
+
+def test_case_variant_emoticons_stay_apart(caplog):
+    with caplog.at_level(logging.WARNING):
+        lex = load_lexicon(emoticons=io.StringIO(":D\t3\n:d\t2"))
+    assert lex.emoticons == {":D": 3, ":d": 2}
+    assert caplog.records == []
+
+
 def test_terms_lowercased_on_load():
     lex = load_lexicon(
         sentiment=io.StringIO("Great\t3"), slang=io.StringIO("Gr8\tGreat")

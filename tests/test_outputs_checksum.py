@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from reviewsent import store
 from reviewsent.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,3 +149,49 @@ def test_outputs_match_recorded_checksums(workload, tmp_path, monkeypatch):
     recorded = json.loads(TABLE.read_text(encoding="utf-8"))[workload]
     assert observed["inputs"] == recorded["inputs"], "the generated inputs changed"
     assert observed == recorded, json.dumps({workload: observed}, indent=1)
+
+
+REPORTS = ("summarize", "correlate", "timeline", "patterns")
+
+
+def _report(argv: list[str]) -> tuple[int, str, bytes | None]:
+    """Exit code, stderr and output file of one report run."""
+    out = Path(argv[argv.index("--out") + 1])
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("workload", sorted(SMALL))
+def test_reports_equal_on_sidecar_miss_and_hit(workload, tmp_path, monkeypatch):
+    """Each report's outcome from ``Archive.scored_view()`` (the sidecar
+    deleted) equals its outcome from the sidecar the miss wrote."""
+    monkeypatch.setitem(
+        gen.SPECS, workload, dataclasses.replace(gen.SPECS[workload], **SMALL[workload])
+    )
+    given, work = tmp_path / "given", tmp_path / "work"
+    inputs = gen.generate(workload, SEED, given)
+    _write_releases(inputs, given / "releases.csv")
+    work.mkdir()
+    chain = _chain(inputs, work, given)
+    scored = next(i for i, argv in enumerate(chain) if argv[0] == "score") + 1
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for argv in chain[:scored]:
+            main(argv)
+    parses = []
+    read_archive = store._read_archive
+    monkeypatch.setattr(store, "_read_archive", lambda *a: parses.append(a) or read_archive(*a))
+    sidecar = store.view_path(work / "archive.jsonl")
+    reports = [argv for argv in chain[scored:] if argv[0] in REPORTS and "--out" in argv]
+    assert [argv[0] for argv in reports] == [
+        "summarize", "correlate", "correlate", "timeline", "patterns"
+    ]
+    for argv in reports:
+        sidecar.unlink()
+        miss = _report(argv)
+        assert len(parses) == 1 and sidecar.exists()
+        assert _report(argv) == miss, argv
+        assert len(parses) == 1  # the hit parsed nothing
+        parses.clear()

@@ -48,6 +48,7 @@ from helpers import (
     reference_scored_rows,
     score_for_combined,
     small_scored_archive,
+    view_rows,
 )
 
 
@@ -96,7 +97,7 @@ def test_scored_rows_follow_key_order_with_combined_and_length():
     }
     for (app_id, review_id), score in scores.items():
         archive.set_score(app_id, review_id, score)
-    rows = archive.scored_view().rows
+    rows = view_rows(archive.scored_view())
     assert [(row.app_id, row.rating) for row in rows] == [
         ("app1", 5),
         ("app1", 4),
@@ -108,7 +109,7 @@ def test_scored_rows_follow_key_order_with_combined_and_length():
     assert [row.text_length for row in rows] == [len("a title") + len("a body"), 5, 3]
     assert (rows[2].category, rows[2].is_free, rows[2].price) == ("News", False, 0.99)
     assert rows[0].date == make_review("app1", "r1").date
-    assert Archive().scored_view().rows == []
+    assert view_rows(Archive().scored_view()) == []
 
 
 def test_scored_rows_refuse_unscored_review_and_unknown_app():
@@ -118,17 +119,17 @@ def test_scored_rows_refuse_unscored_review_and_unknown_app():
     archive.add_review(make_review("app1", "r2"))
     archive.set_score("app1", "r1", SentimentScore(2, -1))
     with pytest.raises(ArchiveError, match="1 reviews have no score; run score first"):
-        archive.scored_view().rows
+        view_rows(archive.scored_view())
     archive.scores[("app1", "gone")] = SentimentScore(2, -1)  # as many scores as reviews
     with pytest.raises(ArchiveError, match="1 reviews have no score; run score first"):
-        archive.scored_view().rows
+        view_rows(archive.scored_view())
 
     del archive.scores[("app1", "gone")]
     archive.set_score("app1", "r2", SentimentScore(2, -1))
     archive.add_review(make_review("ghost", "r3"))
     archive.set_score("ghost", "r3", SentimentScore(2, -1))
     with pytest.raises(ArchiveError, match=r"unknown apps: \['ghost'\]"):
-        archive.scored_view().rows
+        view_rows(archive.scored_view())
 
 
 def test_roundtrip_identity(tmp_path):
@@ -433,7 +434,7 @@ def test_loader_equals_reference_loader(text):
     assert loaded.load_skips == expected.load_skips
     for table in "apps", "reviews", "releases", "scores":
         assert list(getattr(loaded, table)) == list(getattr(expected, table))
-    assert _rows_or_error(lambda: loaded.scored_view().rows) == _rows_or_error(
+    assert _rows_or_error(lambda: view_rows(loaded.scored_view())) == _rows_or_error(
         lambda: reference_scored_rows(expected)
     )
     assert warnings == expected_warnings
@@ -507,12 +508,12 @@ def test_sidecar_view_equals_full_load_view(archive):
 @given(scored_archives())
 def test_scored_rows_equal_reference_rows(archive):
     expected = reference_scored_rows(archive)
-    assert archive.scored_view().rows == expected
+    assert view_rows(archive.scored_view()) == expected
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "archive.jsonl"
         save_archive(archive, path)
         # a loaded archive shares one score object per distinct score
-        assert load_archive(path).scored_view().rows == expected
+        assert view_rows(load_archive(path).scored_view()) == expected
 
 
 # --- the writer against its reference ---------------------------------------
@@ -717,12 +718,22 @@ def _edit_sidecar(change):
     return edit
 
 
+def _short_column(text: str) -> str:
+    """The sidecar with its last combined value dropped: every other column
+    keeps one value more."""
+    payload = json.loads(text)
+    payload["columns"]["combined"].pop()
+    return json.dumps(payload)
+
+
 STALE_SIDECARS = {
     "archive byte changed": _flip_rating,
     "sidecar truncated": _edit_sidecar(lambda text: text[: len(text) // 2]),
     "sidecar not an object": _edit_sidecar(lambda text: "[" + text + "]"),
     "sidecar version": _edit_sidecar(lambda text: text.replace('"version": 1', '"version": 2')),
     "sidecar columns": _edit_sidecar(lambda text: text.replace('"rating"', '"stars"')),
+    "sidecar column short": _edit_sidecar(_short_column),
+    "sidecar date not ISO": _edit_sidecar(lambda text: text.replace('"date": ["', '"date": ["on ', 1)),
     "sidecar missing": lambda path: view_path(path).unlink(),
     "sidecar nested too deep": _edit_sidecar(lambda text: "[" * 100_000),
 }

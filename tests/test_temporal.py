@@ -276,6 +276,9 @@ def test_config_validation():
         PatternConfig(window=0)
     with pytest.raises(ValueError):
         PatternConfig(fit_threshold=1.5)
+    for threshold in "jump_threshold", "slope_threshold", "low_variance":
+        with pytest.raises(ValueError, match=threshold):  # NaN would turn its labels off
+            PatternConfig(**{threshold: float("nan")})
 
 
 # --- release impact -------------------------------------------------------------
