@@ -4,7 +4,9 @@ Covers the per-category summary table (counts, mean, SD, median,
 polarity shares), sentiment-versus-rating and sentiment-versus-price
 correlations, per-star box statistics, and dispersion per review topic.
 The archive reports take a ``ScoredView`` (from ``Archive.scored_view()``
-or ``store.load_scored_view``) and read its columns.
+or ``store.load_scored_view``) and read its columns: each app's reviews
+are one row range, and the per-category statistics come from counts of
+the few distinct combined values.
 
 Conventions pinned here so results are reproducible: SD is the sample
 standard deviation (n-1) with the n=1 case defined as 0; quartiles use
@@ -26,7 +28,7 @@ from typing import IO, Iterable, Mapping, Sequence
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
 from .combine import Polarity, combine, polarity_class  # noqa: F401
-from .store import ScoredView
+from .store import UNDEFINED_COMBINED, ScoredView
 from .tables import fmt, read_rows, writer
 
 STRONG_NEGATIVE_CUTOFF = -4  # combined <= -4 counts as strongly negative
@@ -105,6 +107,24 @@ def quantile(values: Sequence[float], q: float) -> float:
     return ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo])
 
 
+def counted_quantile(counts: Mapping[int, int], q: float) -> float:
+    """``quantile`` of the integers that ``counts`` maps to their counts,
+    to the same float, without listing them."""
+    n = sum(counts.values())
+    if not n:
+        raise ValueError("quantile of empty data")
+    h = (n - 1) * q
+    lo, hi = math.floor(h), math.ceil(h)
+    below, low = 0, None
+    for value, count in sorted(counts.items()):  # to the order statistics at lo and hi
+        below += count
+        if low is None and lo < below:
+            low = value
+        if hi < below:
+            break
+    return float(low) if lo == hi else low + (h - lo) * (value - low)
+
+
 def sample_sd(values: Sequence[float]) -> float:
     """Sample standard deviation (n-1); a single observation has SD 0."""
     if not values:
@@ -158,19 +178,18 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks; tied values share the mean of their positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their positions.
+
+    Ranked by value counts: a value preceded by ``below`` smaller ones and
+    held ``count`` times has rank ``(2 * below + count - 1) / 2 + 1``.
+    """
+    counts = Counter(values)
+    rank_of, below = {}, 0
+    for value in sorted(counts):
+        count = counts[value]
+        rank_of[value] = (2 * below + count - 1) / 2 + 1
+        below += count
+    return list(map(rank_of.__getitem__, values))
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -187,42 +206,50 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def summarize_by_category(view: ScoredView) -> list[CategorySummary]:
     """Per-category counts, central statistics, and polarity shares of the view's reviews."""
-    members: dict[str, list[int]] = {}  # the positions of each category's reviews
-    for at, category in enumerate(view.category):
-        members.setdefault(category, []).append(at)
-    is_free, combined = view.is_free, view.combined
+    counts: dict[str, Counter] = {}  # each category's combined values, counted
+    free: dict[str, int] = {}
+    combined, price, starts = view.combined, view.price, view.starts
+    for app, category in enumerate(view.category):
+        lo, hi = starts[app], starts[app + 1]
+        if lo == hi:  # an app without reviews adds no category
+            continue
+        counts.setdefault(category, Counter()).update(combined[lo:hi])
+        free[category] = free.get(category, 0) + (hi - lo if price[app] == 0 else 0)
     return [
-        _summarize_category(category, [is_free[i] for i in at], [combined[i] for i in at])
-        for category, at in sorted(members.items())
+        _summarize_category(category, free[category], counts[category])
+        for category in sorted(counts)
     ]
 
 
 def overall_summary(view: ScoredView) -> CategorySummary:
     """One summary row over all of the view's reviews, labeled ``ALL``."""
-    return _summarize_category(OVERALL_CATEGORY, view.is_free, view.combined)
+    starts = view.starts
+    n_free = sum(
+        starts[app + 1] - starts[app] for app, price in enumerate(view.price) if price == 0
+    )
+    return _summarize_category(OVERALL_CATEGORY, n_free, Counter(view.combined))
 
 
-def _summarize_category(
-    category: str, is_free: list[bool], combined: list[int | None]
-) -> CategorySummary:
-    total = len(combined)
-    n_free = sum(is_free)
-    defined = [value for value in combined if value is not None]
-    # count each combined value, then classify the few distinct values:
-    # hashing a Polarity member per review cost an eighth of `summarize`
+def _summarize_category(category: str, n_free: int, counts: Counter) -> CategorySummary:
+    """The summary of reviews whose combined values ``counts`` counts:
+    the same floats as ``statistics.fmean``, ``sample_sd`` and ``quantile``
+    of their defined values."""
+    total = sum(counts.values())
     shares = {polarity: 0 for polarity in Polarity}
-    counts = Counter(combined)
     for value, count in counts.items():
-        shares[polarity_class(value)] += count
-    counts.pop(None, None)
+        shares[polarity_class(None if value == UNDEFINED_COMBINED else value)] += count
+    counts.pop(UNDEFINED_COMBINED, None)
+    n_scored = sum(counts.values())
+    # fmean sums with fsum, which rounds the exact integer sum once, as float() does
+    total_combined = float(sum(value * count for value, count in counts.items()))
     return CategorySummary(
         category=category,
         n_free=n_free,
         n_paid=total - n_free,
-        n_scored=len(defined),
-        mean=statistics.fmean(defined) if defined else None,
-        sd=counted_sd(counts) if defined else None,
-        median=quantile(defined, 0.5) if defined else None,
+        n_scored=n_scored,
+        mean=total_combined / n_scored if n_scored else None,
+        sd=counted_sd(counts) if n_scored else None,
+        median=counted_quantile(counts, 0.5) if n_scored else None,
         share_positive=shares[Polarity.POSITIVE] / total if total else 0.0,
         share_neutral=shares[Polarity.NEUTRAL] / total if total else 0.0,
         share_negative=shares[Polarity.NEGATIVE] / total if total else 0.0,
@@ -237,7 +264,7 @@ def sentiment_by_rating(view: ScoredView) -> dict[int, RatingSummary]:
     """
     buckets: dict[int, list[int]] = {}
     for rating, combined in zip(view.rating, view.combined):
-        if combined is not None:
+        if combined != UNDEFINED_COMBINED:
             buckets.setdefault(rating, []).append(combined)
     summaries: dict[int, RatingSummary] = {}
     for rating, values in sorted(buckets.items()):
@@ -265,19 +292,29 @@ def sentiment_by_rating(view: ScoredView) -> dict[int, RatingSummary]:
 
 def sentiment_vs_rating(view: ScoredView, include_neutral: bool = True) -> CorrelationResult:
     """Correlation of star rating with combined sentiment, review-level pairs."""
-    return _correlate(view.rating, view.combined, include_neutral)
+    kept = _kept(view.combined, include_neutral)
+    return _correlate(list(compress(view.rating, kept)), view.combined, kept)
 
 
 def sentiment_vs_price(view: ScoredView, include_neutral: bool = True) -> CorrelationResult:
     """Correlation of app price with combined sentiment, review-level pairs."""
-    return _correlate(view.price, view.combined, include_neutral)
+    kept = _kept(view.combined, include_neutral)
+    starts, prices = view.starts, []
+    for app, price in enumerate(view.price):
+        prices += [price] * sum(kept[starts[app] : starts[app + 1]])
+    return _correlate(prices, view.combined, kept)
 
 
-def _correlate(
-    x_column: list[float], combined: list[int | None], include_neutral: bool
-) -> CorrelationResult:
-    kept = [value is not None and (include_neutral or value != 0) for value in combined]
-    xs = list(map(float, compress(x_column, kept)))
+def _kept(combined: Sequence[int], include_neutral: bool) -> list[bool]:
+    """Which reviews enter a correlation: those with a defined sentiment,
+    nonzero unless ``include_neutral``."""
+    dropped = {UNDEFINED_COMBINED} if include_neutral else {UNDEFINED_COMBINED, 0}
+    return [value not in dropped for value in combined]
+
+
+def _correlate(xs: list[float], combined: Sequence[int], kept: list[bool]) -> CorrelationResult:
+    """Both correlations of ``xs`` with the kept combined values, in review order."""
+    xs = list(map(float, xs))
     ys = list(map(float, compress(combined, kept)))
     return CorrelationResult(pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(ys))
 

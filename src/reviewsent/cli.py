@@ -6,6 +6,10 @@ archive, ``score`` attaches dual sentiment scores, and the reporting
 commands (``summarize``, ``correlate``, ``topics``, ``timeline``,
 ``patterns``) emit deterministic CSV. Re-running a command on unchanged
 inputs produces byte-identical output.
+
+Each command imports the modules only it uses (``analytics``,
+``temporal``, ``client``) when it runs, so that no command pays for
+another's imports at start-up.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
-from . import analytics, emojis, temporal
-from .client import ClientConfig, ClientError, StoreClient
+from . import emojis
 from .combine import combine
 # score_review and score_text are unused here (commands score through
 # score_reviews) but stay bound: benchmarks/selftest.py asserts that
@@ -47,6 +50,9 @@ from .store import (  # noqa: F401
     save_archive,
     write_archive,
 )
+
+if TYPE_CHECKING:
+    from .client import ClientConfig
 
 log = logging.getLogger(__name__)
 
@@ -78,7 +84,7 @@ def _require_file(path: str, what: str) -> Path:
 def _load_view(args) -> ScoredView:
     """The scored view of the archive named by ``--archive``; it must hold reviews."""
     view = load_scored_view(_require_file(args.archive, "archive"))
-    if not view.app_id:
+    if not view.combined:
         raise CliError(NO_REVIEWS)
     return view
 
@@ -108,6 +114,8 @@ def _load_emoji_lexicon(args) -> emojis.EmojiLexicon | None:
 
 
 def _client_config(args) -> ClientConfig:
+    from .client import ClientConfig
+
     base_url = args.base_url or os.environ.get(ENV_BASE_URL) or ClientConfig.base_url
     rate = args.rate_limit
     if rate is None:
@@ -137,7 +145,17 @@ def _write_report(args, write) -> None:
 def cmd_ingest(args) -> int:
     if not (args.app_id or args.import_archive or args.releases):
         raise CliError("nothing to ingest: pass --app-id, --import-archive, or --releases")
-    config = _client_config(args) if args.app_id else None
+    if not args.app_id:
+        return _ingest(args, None)
+    from .client import ClientError
+
+    try:
+        return _ingest(args, _client_config(args))
+    except ClientError as exc:  # the store's errors, as the user sees any other
+        raise CliError(str(exc)) from exc
+
+
+def _ingest(args, config: ClientConfig | None) -> int:
     archive_path = Path(args.archive)
     # held from load to write, so that no concurrent writer's update is lost
     with archive_lock(archive_path):
@@ -168,6 +186,8 @@ def _ingest_into(archive: Archive, args, config: ClientConfig | None) -> None:
             archive.add_release(release)
 
     if config is not None:
+        from .client import StoreClient
+
         with StoreClient(config) as client:
             details = client.fetch_app_details(list(args.app_id))
             for app_id, reason in details.errors.items():
@@ -212,6 +232,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    from . import analytics
+
     view = _load_view(args)
     summaries = analytics.summarize_by_category(view)
     summaries.append(analytics.overall_summary(view))
@@ -220,6 +242,8 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    from . import analytics
+
     view = _load_view(args)
     include_neutral = not args.exclude_neutral
     if args.target == "rating":
@@ -233,6 +257,8 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_topics(args) -> int:
+    from . import analytics
+
     lexicon = _load_lexicon(args)
     emoji_lexicon = _load_emoji_lexicon(args)
     with _require_file(args.labeled, "labeled file").open(encoding="utf-8") as stream:
@@ -247,6 +273,8 @@ def cmd_topics(args) -> int:
 
 
 def cmd_timeline(args) -> int:
+    from . import temporal
+
     view = _load_view(args)
     series = temporal.weekly_aggregate(
         view, args.app_id, args.window_start, args.window_end
@@ -256,6 +284,8 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_patterns(args) -> int:
+    from . import temporal
+
     view = _load_view(args)
     config = temporal.PatternConfig(
         **{f.name: getattr(args, f.name) for f in fields(temporal.PatternConfig)}
@@ -324,12 +354,48 @@ def _add_window_flags(parser) -> None:
     )
 
 
+def _add_pattern_flags(parser) -> None:
+    from . import temporal
+
+    _add_archive_flag(parser)
+    _add_window_flags(parser)
+    parser.add_argument(
+        "--min-reviews",
+        type=int,
+        default=temporal.DEFAULT_QUALIFYING_REVIEWS,
+        help="apps need strictly more reviews in the window (default %(default)s)",
+    )
+    for f in fields(temporal.PatternConfig):
+        parser.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            type=type(f.default),
+            default=f.default,
+            help="PatternConfig.%(dest)s (default %(default)s)",
+        )
+    _add_out_flag(parser)
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser. ``late(parser)`` adds its flags when the command
+    is parsed, so that building the parser loads none of its modules."""
+
+    def __init__(self, *args, late=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._late = late
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._late is not None:
+            late, self._late = self._late, None
+            late(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reviewsent",
         description="Sentiment scoring and analysis of app store reviews.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("ingest", help="fetch or import apps, reviews, and releases")
     _add_archive_flag(p)
@@ -381,23 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flag(p)
     p.set_defaults(func=cmd_timeline)
 
-    p = sub.add_parser("patterns", help="emotion pattern labels per qualifying app")
-    _add_archive_flag(p)
-    _add_window_flags(p)
-    p.add_argument(
-        "--min-reviews",
-        type=int,
-        default=temporal.DEFAULT_QUALIFYING_REVIEWS,
-        help="apps need strictly more reviews in the window (default %(default)s)",
+    p = sub.add_parser(
+        "patterns", help="emotion pattern labels per qualifying app", late=_add_pattern_flags
     )
-    for f in fields(temporal.PatternConfig):
-        p.add_argument(
-            f"--{f.name.replace('_', '-')}",
-            type=type(f.default),
-            default=f.default,
-            help="PatternConfig.%(dest)s (default %(default)s)",
-        )
-    _add_out_flag(p)
     p.set_defaults(func=cmd_patterns)
 
     return parser
@@ -412,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, LexiconError, ArchiveError, ClientError, ValueError, OSError) as exc:
+    except (CliError, LexiconError, ArchiveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,6 +45,11 @@ class ClientConfig:
             raise ClientError(f"rate_limit must be finite and > 0, got {self.rate_limit}")
         if self.max_retries < 0:
             raise ClientError(f"max_retries must be >= 0, got {self.max_retries}")
+        # max(retry_after, nan) is retry_after: a NaN backoff would turn it off
+        if not 0 <= self.backoff < math.inf:
+            raise ClientError(f"backoff must be finite and >= 0, got {self.backoff}")
+        if not 0 < self.timeout < math.inf:
+            raise ClientError(f"timeout must be finite and > 0, got {self.timeout}")
 
 
 @dataclass

@@ -6,8 +6,8 @@ exactly; corrupt lines are skipped and reported instead of aborting the
 load. Writers take an exclusive lock file next to the archive so only
 one process mutates it at a time.
 
-Next to a fully scored archive a scored-view sidecar
-(``<archive>.view``) holds the table the reports read, keyed by the
+Next to a fully scored archive a binary scored-view sidecar
+(``<archive>.view``) holds the columns the reports read, keyed by the
 archive's byte length and CRC-32, so a report can skip parsing the
 archive while the two match. It has one builder, ``Archive.scored_view``,
 and one writer, ``_write_view``, with two callers: ``write_archive``
@@ -26,10 +26,12 @@ import math
 import os
 import sys
 import zlib
+from array import array
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import cache
-from itertools import chain
+from itertools import chain, pairwise
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterator, Mapping
@@ -117,27 +119,38 @@ class Release:
             raise ArchiveError("release app_id and version must be nonempty")
 
 
+# the combined column's value for an unclassifiable review, outside -5..5
+UNDEFINED_COMBINED = -128
+# the review columns of a scored view, in sidecar order, with their typecodes
+VIEW_COLUMNS = {"rating": "b", "day": "i", "combined": "b", "text_length": "q"}
+
+
 @dataclass(frozen=True, slots=True)
 class ScoredView:
-    """What the reports read from an archive: one column per field of its
-    scored reviews joined with their apps, in review key order, then the
-    app ids and the ``(app_id, version, date)`` of each release in key order.
+    """What the reports read from an archive.
+
+    One ``array`` column per field of its scored reviews, in review key
+    order: the star ``rating``, the ``day`` (the date's ordinal), the
+    ``combined`` sentiment (``UNDEFINED_COMBINED`` when unclassifiable)
+    and the ``text_length``. Then a table of every app in the archive, in
+    id order: ``apps``, ``category``, ``price``, and ``starts``, so that
+    app ``i``'s reviews are rows ``starts[i]:starts[i + 1]``. Last the
+    ``(app_id, version, day)`` of each release, in key order.
 
     ``Archive.scored_view()`` builds it from a loaded archive and
-    ``load_scored_view`` from the sidecar, which stores the same lists;
+    ``load_scored_view`` from the sidecar, which stores the same columns;
     every report function takes one.
     """
 
-    app_id: list[str]
+    rating: array
+    day: array
+    combined: array
+    text_length: array
+    apps: list[str]
     category: list[str]
-    is_free: list[bool]
     price: list[float]
-    rating: list[int]
-    date: list[dt.date]
-    combined: list[int | None]
-    text_length: list[int]
-    apps: frozenset[str]
-    releases: list[tuple[str, str, dt.date]]
+    starts: list[int]
+    releases: list[tuple[str, str, int]]
 
 
 @dataclass(repr=False)
@@ -180,8 +193,8 @@ class Archive:
             self.scores[key] = score
 
     def scored_view(self) -> ScoredView:
-        """Every review joined with its app and combined score, in key
-        order, with the app ids and the releases without notes.
+        """Every review's columns in key order, with its app's row range,
+        category and price, and the releases without notes.
 
         Raises when any review is unscored or names an app that is not
         in the archive, so no report runs on a partial table.
@@ -198,20 +211,28 @@ class Archive:
         # per distinct score
         distinct = {id(score): score for score in scores.values()}
         combined = {at: combine(score) for at, score in distinct.items()}
+        codes = {at: UNDEFINED_COMBINED if c is None else c for at, c in combined.items()}
         keys = sorted(reviews)
         ordered = [reviews[key] for key in keys]
-        apps = [self.apps[review.app_id] for review in ordered]
+        apps = sorted(self.apps)
+        # keys sort by app id first, so each app's reviews are one range
+        per_app = Counter(app_id for app_id, _ in keys)
+        starts = [0]
+        for app_id in apps:
+            starts.append(starts[-1] + per_app[app_id])
+        # built first: a review without a text fails the view before a review
+        # whose date has no ordinal
+        text_length = array("q", [review.text_length for review in ordered])
         return ScoredView(
-            [app.app_id for app in apps],
-            [app.primary_category for app in apps],
-            [app.is_free for app in apps],
-            [app.price for app in apps],
-            [review.rating for review in ordered],
-            [review.date for review in ordered],
-            [combined[id(scores[key])] for key in keys],
-            [review.text_length for review in ordered],
-            frozenset(self.apps),
-            [(r.app_id, r.version, r.date) for _, r in sorted(self.releases.items())],
+            array("b", [review.rating for review in ordered]),
+            array("i", [review.date.toordinal() for review in ordered]),
+            array("b", [codes[id(scores[key])] for key in keys]),
+            text_length,
+            apps,
+            [self.apps[app_id].primary_category for app_id in apps],
+            [self.apps[app_id].price for app_id in apps],
+            starts,
+            [(r.app_id, r.version, r.date.toordinal()) for _, r in sorted(self.releases.items())],
         )
 
     def counts(self) -> dict[str, int]:
@@ -579,7 +600,7 @@ def _read_archive(stream: IO[bytes], path: str | Path) -> Archive:
 
 # --- scored-view sidecar ---------------------------------------------------
 
-VIEW_VERSION = 1
+VIEW_VERSION = 2
 
 
 def view_path(path: str | Path) -> Path:
@@ -602,47 +623,82 @@ def _stream_key(stream: IO[bytes]) -> list[int]:
 
 
 def _write_view(view: ScoredView, key: list[int], path: Path) -> None:
-    """The sidecar of ``view`` for the archive bytes ``key`` describes: its
-    columns, its sorted app ids and its releases."""
-    payload = {
+    """The sidecar of ``view`` for the archive bytes ``key`` describes.
+
+    One JSON header line (the version, the key, the byte order, each
+    review column's name, typecode and length, the app table and the
+    releases), then each column's bytes, then the CRC-32 of all that as
+    4 little-endian bytes, so that a sidecar that was cut, padded or
+    changed reads as a miss.
+    """
+    columns = [getattr(view, name) for name in VIEW_COLUMNS]
+    header = {
         "version": VIEW_VERSION,
         "key": key,
-        # every field but the last two, apps and releases
-        "columns": {f.name: getattr(view, f.name) for f in fields(ScoredView)[:-2]},
-        "apps": sorted(view.apps),
+        "byteorder": sys.byteorder,
+        "columns": [[name, c.typecode, len(c)] for name, c in zip(VIEW_COLUMNS, columns)],
+        "apps": view.apps,
+        "category": view.category,
+        "price": view.price,
+        "starts": view.starts,
         "releases": view.releases,
     }
-    with path.open("w", encoding="utf-8", newline="\n") as out:
-        out.write(_ENCODER.encode(payload))
+    data = b"".join([_ENCODER.encode(header).encode("utf-8"), b"\n", *columns])
+    with path.open("wb") as out:
+        out.write(data)
+        out.write(zlib.crc32(data).to_bytes(4, "little"))
 
 
 def _read_view(path: Path) -> ScoredView:
     """The archive's view from its sidecar; raises unless the sidecar is current."""
-    with view_path(path).open(encoding="utf-8") as stream:
-        payload = json.load(stream)
-    if not isinstance(payload, dict) or payload.get("version") != VIEW_VERSION:
+    data = view_path(path).read_bytes()
+    body = memoryview(data)[:-4]
+    if len(data) < 4 or zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
+        raise ArchiveError("sidecar checksum does not match")
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    if not isinstance(header, dict) or header.get("version") != VIEW_VERSION:
         raise ArchiveError("unknown sidecar version")
     with path.open("rb") as stream:
         key = _stream_key(stream)
-    if payload["key"] != key:
+    if header["key"] != key:
         raise ArchiveError("sidecar describes other archive bytes")
-    columns = payload["columns"]
-    if not isinstance(columns, dict) or not all(type(c) is list for c in columns.values()):
-        raise ArchiveError("sidecar columns are not lists")
-    if len(set(map(len, columns.values()))) > 1:  # a zip would drop reviews
-        raise ArchiveError("sidecar columns differ in length")
-    columns["date"] = list(map(dt.date.fromisoformat, columns["date"]))
-    apps = payload["apps"]
-    if not isinstance(apps, list) or not all(isinstance(a, str) for a in apps):
-        raise ArchiveError("sidecar apps are not a list of ids")
-    releases = [
-        (app_id, version, dt.date.fromisoformat(date))
-        for app_id, version, date in payload["releases"]
-    ]
-    if not all(type(a) is type(v) is str and a and v for a, v, _ in releases):
-        raise ArchiveError("sidecar releases need a nonempty app_id and version")
-    # raises TypeError on a column name that is not a field
-    return ScoredView(**columns, apps=frozenset(apps), releases=releases)
+    if header["byteorder"] != sys.byteorder:
+        raise ArchiveError("sidecar has another byte order")
+    apps, category, price, starts = (header[k] for k in ("apps", "category", "price", "starts"))
+    if not (
+        _list_of(apps, str)
+        and _list_of(category, str)
+        and _list_of(price, float, int)
+        and _list_of(starts, int)
+        and len(category) == len(price) == len(apps) == len(starts) - 1
+        and starts[0] == 0
+        and all(lo <= hi for lo, hi in pairwise(starts))
+    ):
+        raise ArchiveError("sidecar app table is malformed")
+    n = starts[-1]
+    if header["columns"] != [[name, typecode, n] for name, typecode in VIEW_COLUMNS.items()]:
+        raise ArchiveError("sidecar columns are not the view's")
+    columns = [array(typecode) for typecode in VIEW_COLUMNS.values()]
+    at = end + 1
+    if at + n * sum(column.itemsize for column in columns) != len(body):
+        raise ArchiveError("sidecar size does not match its columns")
+    for column in columns:
+        column.frombytes(body[at : at + n * column.itemsize])
+        at += n * column.itemsize
+    releases = header["releases"]
+    if not _list_of(releases, list) or not all(
+        len(r) == 3 and type(r[0]) is type(r[1]) is str and r[0] and r[1] and type(r[2]) is int
+        for r in releases
+    ):
+        raise ArchiveError("sidecar releases need a nonempty app_id and version and a day")
+    return ScoredView(*columns, apps, category, price, starts, list(map(tuple, releases)))
+
+
+def _list_of(values: object, *types: type) -> bool:
+    """Whether ``values`` is a list whose items are exactly of ``types``
+    (JSON reads ``true`` as a bool, which is an int too)."""
+    return type(values) is list and all(type(value) in types for value in values)
 
 
 def load_scored_view(path: str | Path) -> ScoredView:

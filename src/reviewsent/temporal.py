@@ -2,10 +2,10 @@
 
 Reviews are grouped into consecutive 7-day bins from a window start
 date; each bin carries the mean combined sentiment, review volume, and
-mean review length. A series is classified into recurring emotion
-patterns: abrupt jumps/drops (windowed mean shifts), steady trends
-(least-squares slope with a fit requirement), consistent (low variance),
-or inconsistent (none of the above). Thresholds are configuration, not
+mean review length, one column each. A series is classified into
+recurring emotion patterns: abrupt jumps/drops (windowed mean shifts),
+steady trends (least-squares slope with a fit requirement), consistent
+(low variance), or inconsistent (none of the above). Thresholds are configuration, not
 claims; the defaults reproduce the archetype shapes.
 
 Weeks without reviews stay in the series as empty points and are
@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import datetime as dt
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
-from .analytics import sample_sd
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
 from .combine import combine  # noqa: F401
-from .store import ScoredView
+from .store import UNDEFINED_COMBINED, ScoredView
 from .tables import fmt, writer
 
 MIN_PATTERN_POINTS = 8
@@ -80,34 +80,28 @@ DEFAULT_PATTERN_CONFIG = PatternConfig()
 
 
 @dataclass(frozen=True)
-class WeekPoint:
-    week_index: int
-    mean_combined: float | None
-    n_reviews: int
-    mean_length: float | None
-
-    def __post_init__(self):
-        if (self.n_reviews == 0) != (self.mean_combined is None):
-            raise ValueError(
-                f"week {self.week_index}: mean must be absent exactly when empty"
-            )
-
-
-@dataclass(frozen=True)
 class WeeklySeries:
+    """One app's weekly series, one column per bin field: week ``w`` (from
+    the window start) holds ``n_reviews[w]`` reviews, with their mean
+    combined sentiment and mean text length, or ``None`` for both when it
+    is empty. ``releases`` are ``(week, version)`` pairs."""
+
     app_id: str
     start_date: dt.date
-    points: tuple[WeekPoint, ...]
-    releases: tuple[tuple[int, str], ...]  # (week_index, version)
+    n_reviews: tuple[int, ...]
+    mean_combined: tuple[float | None, ...]
+    mean_length: tuple[float | None, ...]
+    releases: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        indices = [p.week_index for p in self.points]
-        if indices != sorted(set(indices)):
-            raise ValueError("week indices must be strictly increasing")
+        if not len(self.n_reviews) == len(self.mean_combined) == len(self.mean_length):
+            raise ValueError("weekly columns differ in length")
+        if [n == 0 for n in self.n_reviews] != [m is None for m in self.mean_combined]:
+            raise ValueError("a week's mean must be absent exactly when it is empty")
 
     @property
     def total_reviews(self) -> int:
-        return sum(p.n_reviews for p in self.points)
+        return sum(self.n_reviews)
 
 
 @dataclass(frozen=True)
@@ -134,53 +128,50 @@ def weekly_aggregates(
 ) -> list[WeeklySeries]:
     """Weekly series of each app over [start, end], consecutive 7-day bins.
 
-    One pass over the view's columns bins every app's reviews; only reviews
-    with a defined combined sentiment contribute. The view's releases
-    inside the window are mapped to the same bins.
+    Each app's row range of the view is binned by day ordinal; only
+    reviews with a defined combined sentiment contribute. The view's
+    releases inside the window are mapped to the same bins.
     """
     if start > end:
         raise ValueError(f"start {start} after end {end}")
-    for app_id in app_ids:
-        if app_id not in view.apps:
-            raise ValueError(f"app {app_id!r} not in archive")
-    n_weeks = (end - start).days // 7 + 1
-    # per app: review count, combined sum and text length sum of each week
-    bins = {app_id: ([0] * n_weeks, [0.0] * n_weeks, [0] * n_weeks) for app_id in app_ids}
-    columns = zip(view.app_id, view.date, view.combined, view.text_length)
-    for app_id, date, combined, text_length in columns:
-        app_bins = bins.get(app_id)
-        if app_bins is None or combined is None or not start <= date <= end:
-            continue
-        count, combined_sum, length_sum = app_bins
-        week = (date - start).days // 7
-        count[week] += 1
-        combined_sum[week] += combined
-        length_sum[week] += text_length
+    ranges = [_rows(view, app_id) for app_id in app_ids]
+    first, last = start.toordinal(), end.toordinal()
+    n_weeks = (last - first) // 7 + 1
     releases: dict[str, list[tuple[int, str]]] = {app_id: [] for app_id in app_ids}
-    for app_id, version, date in view.releases:
-        if app_id in releases and start <= date <= end:
-            releases[app_id].append(((date - start).days // 7, version))
+    for app_id, version, day in view.releases:
+        if app_id in releases and first <= day <= last:
+            releases[app_id].append(((day - first) // 7, version))
     series = []
-    for app_id in app_ids:
-        count, combined_sum, length_sum = bins[app_id]
-        points = tuple(
-            WeekPoint(
-                week_index=week,
-                mean_combined=combined_sum[week] / count[week] if count[week] else None,
-                n_reviews=count[week],
-                mean_length=length_sum[week] / count[week] if count[week] else None,
-            )
-            for week in range(n_weeks)
-        )
+    for app_id, rows in zip(app_ids, ranges):
+        # review count, combined sum and text length sum of each week
+        count, combined_sum, length_sum = [0] * n_weeks, [0.0] * n_weeks, [0] * n_weeks
+        for day, combined, text_length in zip(
+            view.day[rows], view.combined[rows], view.text_length[rows]
+        ):
+            if combined != UNDEFINED_COMBINED and first <= day <= last:
+                week = (day - first) // 7
+                count[week] += 1
+                combined_sum[week] += combined
+                length_sum[week] += text_length
         series.append(
             WeeklySeries(
                 app_id=app_id,
                 start_date=start,
-                points=points,
+                n_reviews=tuple(count),
+                mean_combined=tuple([s / n if n else None for s, n in zip(combined_sum, count)]),
+                mean_length=tuple([s / n if n else None for s, n in zip(length_sum, count)]),
                 releases=tuple(sorted(releases[app_id])),
             )
         )
     return series
+
+
+def _rows(view: ScoredView, app_id: str) -> slice:
+    """The view's rows of one app's reviews."""
+    at = bisect_left(view.apps, app_id)
+    if at == len(view.apps) or view.apps[at] != app_id:
+        raise ValueError(f"app {app_id!r} not in archive")
+    return slice(view.starts[at], view.starts[at + 1])
 
 
 # --- pattern classification -------------------------------------------------
@@ -198,14 +189,11 @@ def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
 def _shift_extremes(means: Sequence[float], window: int) -> tuple[float, float]:
     """Smallest and largest shift between adjacent mean windows."""
-    lo, hi = 0.0, 0.0
-    for t in range(window - 1, len(means) - window):
-        pre = sum(means[t - window + 1 : t + 1]) / window
-        post = sum(means[t + 1 : t + window + 1]) / window
-        shift = post - pre
-        lo = min(lo, shift)
-        hi = max(hi, shift)
-    return lo, hi
+    # the mean of each run of `window` weeks: the shift after week t compares
+    # the run ending at t with the run starting at t + 1
+    runs = [sum(means[i : i + window]) / window for i in range(len(means) - window + 1)]
+    shifts = [0.0, *(post - pre for pre, post in zip(runs, runs[window:]))]
+    return min(shifts), max(shifts)
 
 
 def classify_patterns(
@@ -220,9 +208,9 @@ def classify_patterns(
     low overall variance and no jump/drop. Inconsistent: nothing else.
     """
     usable = [
-        (p.week_index, p.mean_combined)
-        for p in series.points
-        if p.n_reviews >= config.min_weekly_reviews and p.mean_combined is not None
+        (week, mean)
+        for week, (n, mean) in enumerate(zip(series.n_reviews, series.mean_combined))
+        if n >= config.min_weekly_reviews and mean is not None
     ]
     if len(usable) < MIN_PATTERN_POINTS:
         raise ValueError(
@@ -246,7 +234,8 @@ def classify_patterns(
                 labels.add(PatternLabel.STEADY_INCREASE)
             elif slope <= -config.slope_threshold:
                 labels.add(PatternLabel.STEADY_DECREASE)
-    if not abrupt and sample_sd(means) <= config.low_variance:
+    # at least MIN_PATTERN_POINTS means, so the sample SD is defined
+    if not abrupt and statistics.stdev(means) <= config.low_variance:
         labels.add(PatternLabel.CONSISTENT_EMOTION)
     if not labels:
         labels.add(PatternLabel.INCONSISTENT_EMOTION)
@@ -266,7 +255,7 @@ def release_impact(series: WeeklySeries, release_week: int, window: int) -> Rele
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    last = len(series.points) - 1
+    last = len(series.n_reviews) - 1
     if not 0 <= release_week <= last:
         raise ValueError(f"release week {release_week} outside series 0..{last}")
     pre_lo = release_week - window
@@ -274,36 +263,36 @@ def release_impact(series: WeeklySeries, release_week: int, window: int) -> Rele
     post_lo = release_week
     post_hi = release_week + window - 1
     truncated = pre_lo < 0 or post_hi > last
-    pre = series.points[max(pre_lo, 0) : pre_hi + 1]
-    post = series.points[post_lo : min(post_hi, last) + 1]
-    pre_mean = _window_mean(pre)
-    post_mean = _window_mean(post)
+    pre = slice(max(pre_lo, 0), pre_hi + 1)
+    post = slice(post_lo, min(post_hi, last) + 1)
+    pre_mean = _window_mean(series.mean_combined[pre])
+    post_mean = _window_mean(series.mean_combined[post])
     return ReleaseImpact(
         pre_mean=pre_mean,
         post_mean=post_mean,
         delta=None if pre_mean is None or post_mean is None else post_mean - pre_mean,
-        pre_volume=_window_volume(pre),
-        post_volume=_window_volume(post),
-        pre_length=_window_length(pre),
-        post_length=_window_length(post),
+        pre_volume=_window_volume(series.n_reviews[pre]),
+        post_volume=_window_volume(series.n_reviews[post]),
+        pre_length=_window_length(series.mean_length[pre], series.n_reviews[pre]),
+        post_length=_window_length(series.mean_length[post], series.n_reviews[post]),
         truncated=truncated,
     )
 
 
-def _window_mean(points: Sequence[WeekPoint]) -> float | None:
-    means = [p.mean_combined for p in points if p.mean_combined is not None]
-    return statistics.fmean(means) if means else None
+def _window_mean(means: Sequence[float | None]) -> float | None:
+    defined = [mean for mean in means if mean is not None]
+    return statistics.fmean(defined) if defined else None
 
 
-def _window_volume(points: Sequence[WeekPoint]) -> float:
-    return statistics.fmean([p.n_reviews for p in points]) if points else 0.0
+def _window_volume(counts: Sequence[int]) -> float:
+    return statistics.fmean(counts) if counts else 0.0
 
 
-def _window_length(points: Sequence[WeekPoint]) -> float | None:
+def _window_length(lengths: Sequence[float | None], counts: Sequence[int]) -> float | None:
     total_chars = sum(
-        p.mean_length * p.n_reviews for p in points if p.mean_length is not None
+        length * n for length, n in zip(lengths, counts) if length is not None
     )
-    total_reviews = sum(p.n_reviews for p in points)
+    total_reviews = sum(counts)
     return total_chars / total_reviews if total_reviews else None
 
 
@@ -317,15 +306,10 @@ def write_timeline(series: WeeklySeries, stream: IO[str]) -> None:
         releases_by_week.setdefault(week, []).append(version)
     out = writer(stream)
     out.writerow(["week", "mean", "n", "mean_length", "releases"])
-    for point in series.points:
+    columns = zip(series.mean_combined, series.n_reviews, series.mean_length)
+    for week, (mean, n, length) in enumerate(columns):
         out.writerow(
-            [
-                point.week_index,
-                fmt(point.mean_combined),
-                point.n_reviews,
-                fmt(point.mean_length),
-                ";".join(releases_by_week.get(point.week_index, [])),
-            ]
+            [week, fmt(mean), n, fmt(length), ";".join(releases_by_week.get(week, []))]
         )
 
 
@@ -345,9 +329,13 @@ def qualifying_apps(
     end: dt.date,
     min_reviews: int = DEFAULT_QUALIFYING_REVIEWS,
 ) -> list[str]:
-    """Apps with more than ``min_reviews`` of the view's reviews inside the window."""
-    counts: dict[str, int] = {}
-    for app_id, date in zip(view.app_id, view.date):
-        if start <= date <= end:
-            counts[app_id] = counts.get(app_id, 0) + 1
-    return sorted(app_id for app_id, n in counts.items() if n > min_reviews)
+    """Apps with more than ``min_reviews`` of the view's reviews inside the
+    window; an app with none there never qualifies."""
+    first, last = start.toordinal(), end.toordinal()
+    day, starts = view.day, view.starts
+    threshold = max(min_reviews, 0)
+    return [
+        app_id
+        for at, app_id in enumerate(view.apps)
+        if sum(first <= d <= last for d in day[starts[at] : starts[at + 1]]) > threshold
+    ]

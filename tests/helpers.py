@@ -4,6 +4,7 @@ writer that the fast paths in ``reviewsent`` are checked against."""
 
 from __future__ import annotations
 
+import array
 import datetime as dt
 import functools
 import io
@@ -14,6 +15,7 @@ import os
 import random
 import re
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -34,7 +36,13 @@ from reviewsent.combine import combine, format_combined, parse_combined
 from reviewsent.emojis import SUBSTITUTIONS, EmojiLexicon
 from reviewsent.engine import BOOSTER_WINDOW
 from reviewsent.lexicon import Lexicon, emoticon_pattern
-from reviewsent.store import ArchiveError, Release, ScoredView, save_archive
+from reviewsent.store import (
+    UNDEFINED_COMBINED,
+    ArchiveError,
+    Release,
+    ScoredView,
+    save_archive,
+)
 
 # A dual score whose combined sentiment is the given value. Note that
 # +1 and -1 are unreachable: p + n > 0 forces p >= 2, symmetrically for n.
@@ -611,8 +619,26 @@ class ScoredRow(NamedTuple):
 
 
 def view_rows(view: ScoredView) -> list[ScoredRow]:
-    """The rows of a view's columns, in review key order."""
-    return list(map(ScoredRow, *(getattr(view, name) for name in ScoredRow._fields)))
+    """The rows of a view's columns joined with its app table, in review key order."""
+    rows = []
+    for app, app_id in enumerate(view.apps):
+        price = view.price[app]
+        for at in range(view.starts[app], view.starts[app + 1]):
+            combined = view.combined[at]
+            rows.append(
+                ScoredRow(
+                    app_id=app_id,
+                    category=view.category[app],
+                    is_free=price == 0,
+                    price=price,
+                    rating=view.rating[at],
+                    date=dt.date.fromordinal(view.day[at]),
+                    combined=None if combined == UNDEFINED_COMBINED else combined,
+                    text_length=view.text_length[at],
+                )
+            )
+    assert len(rows) == len(view.combined) == view.starts[-1]
+    return rows
 
 
 def reference_scored_rows(archive: Archive) -> list[ScoredRow]:
@@ -663,9 +689,9 @@ def _reference_line(kind: str, entity, **extra) -> str:
         raise ArchiveError("a raw payload is nested too deeply to save") from None
 
 
-def reference_archive_text(archive: Archive) -> tuple[str, str | None]:
+def reference_archive_text(archive: Archive) -> tuple[str, bytes | None]:
     """The archive text that ``store.save_archive`` writes, and its
-    sidecar's text (``None`` when the archive has no scored view), made
+    sidecar's bytes (``None`` when the archive has no scored view), made
     one whole ``json.dumps`` line at a time: every entity's dataclass
     fields, ``kind`` and the extras. Each line is written to a UTF-8 text
     stream as it is made, so a string that UTF-8 cannot encode (a lone
@@ -693,17 +719,107 @@ def reference_archive_text(archive: Archive) -> tuple[str, str | None]:
         rows = reference_scored_rows(archive)
     except ArchiveError:
         return data.decode("utf-8"), None
-    view = {
+    return data.decode("utf-8"), reference_sidecar(archive, rows, [len(data), zlib.crc32(data)])
+
+
+# the sidecar's review columns and the struct format (= array typecode) of a value
+REFERENCE_COLUMNS = {"rating": "b", "day": "i", "combined": "b", "text_length": "q"}
+
+
+def reference_sidecar(archive: Archive, rows: list[ScoredRow], key: list[int]) -> bytes:
+    """The version-2 sidecar of ``rows`` for the archive bytes ``key``
+    describes, packed value by value with ``struct``."""
+    values = {
+        "rating": [row.rating for row in rows],
+        "day": [row.date.toordinal() for row in rows],
+        "combined": [UNDEFINED_COMBINED if row.combined is None else row.combined for row in rows],
+        "text_length": [row.text_length for row in rows],
+    }
+    apps = sorted(archive.apps)
+    starts = [sum(1 for row in rows if row.app_id < app_id) for app_id in apps] + [len(rows)]
+    header = {
+        "version": 2,
+        "key": key,
+        "byteorder": sys.byteorder,
+        "columns": [[name, code, len(rows)] for name, code in REFERENCE_COLUMNS.items()],
+        "apps": apps,
+        "category": [archive.apps[app_id].primary_category for app_id in apps],
+        "price": [archive.apps[app_id].price for app_id in apps],
+        "starts": starts,
+        "releases": [
+            (r.app_id, r.version, r.date.toordinal()) for _, r in sorted(archive.releases.items())
+        ],
+    }
+    data = _reference_json(header).encode("utf-8") + b"\n" + b"".join(
+        struct.pack(f"={len(rows)}{code}", *values[name])
+        for name, code in REFERENCE_COLUMNS.items()
+    )
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
+def version1_sidecar(path: Path) -> str:
+    """The JSON sidecar that a version-1 writer put next to the archive
+    ``path``: its key matches the archive, its columns are lists."""
+    archive = reference_load_archive(path)
+    rows = reference_scored_rows(archive)
+    data = path.read_bytes()
+    return _reference_json({
         "version": 1,
         "key": [len(data), zlib.crc32(data)],
         "columns": {name: [getattr(row, name) for row in rows] for name in ScoredRow._fields},
         "apps": sorted(archive.apps),
-        "releases": [
-            (r.app_id, r.version, r.date)
-            for _, r in sorted(archive.releases.items())
-        ],
-    }
-    return data.decode("utf-8"), _reference_json(view)
+        "releases": [(r.app_id, r.version, r.date) for _, r in sorted(archive.releases.items())],
+    })
+
+
+def sealed(body: bytes) -> bytes:
+    """A sidecar body with its CRC-32 trailer, so that only the later checks can refuse it."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def sidecar_parts(data: bytes) -> tuple[dict, list[array.array]]:
+    """A version-2 sidecar's header and review columns."""
+    body = data[:-4]
+    end = body.index(b"\n")
+    header = json.loads(body[:end])
+    columns, at = [], end + 1
+    for _, typecode, n in header["columns"]:
+        column = array.array(typecode)
+        column.frombytes(body[at : at + n * column.itemsize])
+        at += n * column.itemsize
+        columns.append(column)
+    return header, columns
+
+
+def sidecar_of(header: dict, columns: list[array.array]) -> bytes:
+    """The sealed sidecar bytes of a header and review columns."""
+    return sealed(_reference_json(header).encode("utf-8") + b"\n" + b"".join(columns))
+
+
+def _other_byte_order(data: bytes) -> bytes:
+    header, columns = sidecar_parts(data)
+    header["byteorder"] = {"little": "big", "big": "little"}[header["byteorder"]]
+    for column in columns:
+        column.byteswap()
+    return sidecar_of(header, columns)
+
+
+def _flip_bit(data: bytes) -> bytes:
+    """One bit of the last review's combined value flipped; the trailer kept."""
+    header, columns = sidecar_parts(data)
+    at = len(data) - 4 - columns[3].itemsize * len(columns[3]) - 1
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+# damage a current sidecar can take, each a function of its bytes and its
+# archive's path; the CLI must treat each as a miss
+SIDECAR_DAMAGE = {
+    "truncated": lambda data, path: data[: len(data) // 2],
+    "bit flipped": lambda data, path: _flip_bit(data),
+    "padded": lambda data, path: sealed(data[:-4] + bytes(8)),
+    "other byte order": lambda data, path: _other_byte_order(data),
+    "version 1 JSON": lambda data, path: version1_sidecar(path).encode("utf-8"),
+}
 
 
 # --- generated and byte-mutated archives -------------------------------------

@@ -20,6 +20,7 @@ from reviewsent.store import Archive, load_archive, save_archive
 
 from helpers import (
     BYTE_EDITS,
+    SIDECAR_DAMAGE,
     add_scored_review,
     feed_item,
     force_split,
@@ -139,6 +140,55 @@ def test_report_modules_load_no_scorer():
         check=True,
     )
     assert result.stdout.split() == []
+
+
+COMMAND_IMPORTS_SCRIPT = """
+import sys
+from reviewsent.cli import main
+rc = main(sys.argv[2:])
+print(rc, *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
+"""
+REPORT_MODULES = ("reviewsent.analytics", "reviewsent.temporal", "reviewsent.client")
+
+
+def _modules_loaded(argv: list) -> list[str]:
+    """The exit code of ``argv`` in a fresh interpreter, then the report
+    and client modules it loaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", COMMAND_IMPORTS_SCRIPT, ",".join(REPORT_MODULES), *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout.splitlines()[-1].split()  # after the command's own output
+
+
+def test_each_command_loads_only_its_modules(tmp_path, fixture_archive):
+    imported = tmp_path / "imported.jsonl"
+    ingest = ["ingest", "--archive", imported, "--import-archive", fixture_archive]
+    assert _modules_loaded(ingest) == ["0"]
+    assert _modules_loaded(["score", "--no-emoji", "--archive", fixture_archive]) == ["0"]
+    out = ["--out", tmp_path / "out.csv"]
+    for report in (["summarize"], ["correlate", "--target", "rating"]):
+        loaded = _modules_loaded([*report, "--archive", fixture_archive, *out])
+        assert loaded == ["0", "reviewsent.analytics"], report
+    app = sorted(load_archive(fixture_archive).apps)[0]
+    for report in (["timeline", "--app-id", app], ["patterns", "--min-reviews", "0"]):
+        command, *flags = report
+        loaded = _modules_loaded([command, "--archive", fixture_archive, *flags, *WINDOW, *out])
+        assert loaded == ["0", "reviewsent.temporal"], report
+
+
+def test_client_errors_end_as_an_error_line(tmp_path, stub_server, capsys):
+    target = tmp_path / "fetched.jsonl"
+    fetch = ["ingest", "--archive", target, "--app-id", "a1", "--base-url", stub_server.base_url]
+    assert run([*fetch, "--rate-limit", "nan"]) == 1  # from ClientConfig
+    assert capsys.readouterr().err == "error: rate_limit must be finite and > 0, got nan\n"
+    assert run([*fetch, "--rate-limit", "10000"]) == 1  # from StoreClient: no such app
+    assert capsys.readouterr().err.startswith("error: all 1 ids failed: {'a1': ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_ingest_from_stub_store_with_env_overrides(
@@ -595,6 +645,52 @@ def test_reports_identical_with_and_without_sidecar(tmp_path, fixture_archive, m
     rewritten_sidecar = _reports(archive, tmp_path / "rewritten", capsys)
     assert len(with_sidecar) == 5
     assert with_sidecar == without_sidecar == rewritten_sidecar
+
+
+def _report_outcomes(archive, tmp_path, capsys, sidecar_bytes) -> list[tuple]:
+    """Each report's exit code, stdout, stderr and CSV, run with the sidecar
+    holding ``sidecar_bytes``, or with no sidecar when that is None."""
+    sidecar = Path(f"{archive}.view")
+    outcomes = []
+    for name, (command, *flags) in REPORTS.items():
+        sidecar.unlink(missing_ok=True)
+        if sidecar_bytes is not None:
+            sidecar.write_bytes(sidecar_bytes)
+        out = tmp_path / f"{name}.csv"
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = run([command, "--archive", archive, *flags, "--out", out])
+        outcomes.append((name, code, *capsys.readouterr(), out.read_bytes()))
+    return outcomes
+
+
+@pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
+def test_damaged_sidecar_is_a_miss_that_rewrites_it(tmp_path, monkeypatch, capsys, damage):
+    archive = _scored_data_dir(tmp_path)
+    sidecar = Path(f"{archive}.view")
+    written = sidecar.read_bytes()  # by score
+    damaged = SIDECAR_DAMAGE[damage](written, archive)
+    assert damaged != written
+    without = _report_outcomes(archive, tmp_path, capsys, None)
+    parses = []
+    read_archive = store._read_archive
+    monkeypatch.setattr(store, "_read_archive", lambda *a: parses.append(a[1]) or read_archive(*a))
+    assert _report_outcomes(archive, tmp_path, capsys, damaged) == without
+    assert parses == [archive] * len(REPORTS)  # each report missed
+    assert sidecar.read_bytes() == written  # and the last one wrote it again
+
+
+@pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
+def test_damaged_sidecar_of_an_archive_with_a_skipped_line_stays(tmp_path, capsys, damage):
+    archive = _scored_data_dir(tmp_path)
+    sidecar = Path(f"{archive}.view")
+    damaged = SIDECAR_DAMAGE[damage](sidecar.read_bytes(), archive)
+    with archive.open("ab") as stream:
+        stream.write(b"not an archive line\n")
+    assert len(load_archive(archive).load_skips) == 1
+    without = _report_outcomes(archive, tmp_path, capsys, None)
+    assert _report_outcomes(archive, tmp_path, capsys, damaged) == without
+    assert sidecar.read_bytes() == damaged  # a parse that skipped a line writes no sidecar
 
 
 def test_reports_in_read_only_directory_succeed_unchanged(tmp_path, capsys):

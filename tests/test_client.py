@@ -251,3 +251,20 @@ def test_rate_limit_config_validated():
     for rate_limit in float("nan"), float("inf"):  # either would turn the throttle off
         with pytest.raises(ClientError, match="rate_limit must be finite and > 0"):
             ClientConfig(base_url="http://x", rate_limit=rate_limit)
+
+
+@pytest.mark.parametrize("backoff", [float("nan"), float("inf"), -1.0, -0.5])
+def test_backoff_config_validated(backoff):
+    # max(retry_after, nan) is retry_after: a NaN or negative backoff turns it off
+    with pytest.raises(ClientError, match="backoff must be finite and >= 0"):
+        ClientConfig(base_url="http://x", backoff=backoff)
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+def test_timeout_config_validated(timeout):
+    with pytest.raises(ClientError, match="timeout must be finite and > 0"):
+        ClientConfig(base_url="http://x", timeout=timeout)
+
+
+def test_zero_backoff_is_allowed():
+    assert ClientConfig(base_url="http://x", backoff=0.0).backoff == 0.0

@@ -38,6 +38,7 @@ from reviewsent.store import (
 from helpers import (
     BYTE_EDITS,
     COMBINED_TO_SCORE,
+    SIDECAR_DAMAGE,
     archive_files,
     make_app,
     make_review,
@@ -47,6 +48,9 @@ from helpers import (
     reference_load_archive,
     reference_scored_rows,
     score_for_combined,
+    sealed,
+    sidecar_of,
+    sidecar_parts,
     small_scored_archive,
     view_rows,
 )
@@ -658,10 +662,10 @@ def _outcome(write):
         return type(exc), str(exc)
 
 
-def _saved(archive: Archive, path: Path) -> tuple[str, str | None]:
+def _saved(archive: Archive, path: Path) -> tuple[str, bytes | None]:
     save_archive(archive, path)
     sidecar = view_path(path)
-    view = sidecar.read_bytes().decode("utf-8") if sidecar.exists() else None
+    view = sidecar.read_bytes() if sidecar.exists() else None
     return path.read_bytes().decode("utf-8"), view
 
 
@@ -711,31 +715,59 @@ def _flip_rating(path: Path) -> None:
 
 
 def _edit_sidecar(change):
+    """Replace the sidecar's bytes by ``change(bytes, archive path)``."""
     def edit(path: Path) -> None:
         sidecar = view_path(path)
-        sidecar.write_text(change(sidecar.read_text(encoding="utf-8")), encoding="utf-8")
+        sidecar.write_bytes(change(sidecar.read_bytes(), path))
 
     return edit
 
 
-def _short_column(text: str) -> str:
+def _edit_header(change):
+    """Change the sidecar's header in place and seal it again, so that the
+    check of that header field, not the trailer, refuses it."""
+    def edit(data: bytes, path: Path) -> bytes:
+        header, columns = sidecar_parts(data)
+        change(header)
+        return sidecar_of(header, columns)
+
+    return _edit_sidecar(edit)
+
+
+def _short_column(data: bytes, path: Path) -> bytes:
     """The sidecar with its last combined value dropped: every other column
     keeps one value more."""
-    payload = json.loads(text)
-    payload["columns"]["combined"].pop()
-    return json.dumps(payload)
+    header, columns = sidecar_parts(data)
+    columns[2].pop()
+    header["columns"][2][2] -= 1
+    return sidecar_of(header, columns)
+
+
+def _header_line(change):
+    """Replace the sidecar's header line by ``change(line)`` and seal it again."""
+    def edit(data: bytes, path: Path) -> bytes:
+        end = data.index(b"\n")
+        return sealed(change(data[:end]) + data[end:-4])
+
+    return _edit_sidecar(edit)
 
 
 STALE_SIDECARS = {
     "archive byte changed": _flip_rating,
-    "sidecar truncated": _edit_sidecar(lambda text: text[: len(text) // 2]),
-    "sidecar not an object": _edit_sidecar(lambda text: "[" + text + "]"),
-    "sidecar version": _edit_sidecar(lambda text: text.replace('"version": 1', '"version": 2')),
-    "sidecar columns": _edit_sidecar(lambda text: text.replace('"rating"', '"stars"')),
+    **{f"sidecar {name}": _edit_sidecar(damage) for name, damage in SIDECAR_DAMAGE.items()},
+    "sidecar not an object": _header_line(lambda line: b"[" + line + b"]"),
+    "sidecar version": _edit_header(lambda header: header.update(version=1)),
+    "sidecar columns": _edit_header(lambda header: header["columns"][0].__setitem__(0, "stars")),
+    "sidecar typecode": _edit_header(lambda header: header["columns"][3].__setitem__(1, "l")),
     "sidecar column short": _edit_sidecar(_short_column),
-    "sidecar date not ISO": _edit_sidecar(lambda text: text.replace('"date": ["', '"date": ["on ', 1)),
+    "sidecar starts not monotone": _edit_header(
+        lambda header: header["starts"].__setitem__(1, header["starts"][-1] + 1)
+    ),
+    "sidecar release day not an int": _edit_header(
+        lambda header: header.update(releases=[["app0", "1.0", "2016-01-04"]])
+    ),
     "sidecar missing": lambda path: view_path(path).unlink(),
-    "sidecar nested too deep": _edit_sidecar(lambda text: "[" * 100_000),
+    "sidecar nested too deep": _header_line(lambda line: b"[" * 100_000),
 }
 
 

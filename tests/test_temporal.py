@@ -11,7 +11,6 @@ from reviewsent.temporal import (
     PatternConfig,
     PatternLabel,
     WeeklySeries,
-    WeekPoint,
     classify_patterns,
     qualifying_apps,
     release_impact,
@@ -38,18 +37,16 @@ def make_series(
     app_id="app1",
 ) -> WeeklySeries:
     """Series from a list of weekly means (None = empty week)."""
-    points = []
-    for week, mean in enumerate(means):
-        if mean is None:
-            points.append(WeekPoint(week, None, 0, None))
-        else:
-            n = volumes[week] if volumes else 5
-            length = lengths[week] if lengths else 100.0
-            points.append(WeekPoint(week, float(mean), n, float(length)))
+    weeks = range(len(means))
+    empty = [mean is None for mean in means]
     return WeeklySeries(
         app_id=app_id,
         start_date=WINDOW_START,
-        points=tuple(points),
+        n_reviews=tuple(0 if empty[w] else volumes[w] if volumes else 5 for w in weeks),
+        mean_combined=tuple(None if empty[w] else float(means[w]) for w in weeks),
+        mean_length=tuple(
+            None if empty[w] else float(lengths[w]) if lengths else 100.0 for w in weeks
+        ),
         releases=tuple(releases),
     )
 
@@ -64,10 +61,11 @@ def test_bin_arithmetic_two_weeks():
     add_scored_review(archive, "app1", "r0", 3, date=start)
     add_scored_review(archive, "app1", "r1", -3, date=start + dt.timedelta(days=7))
     series = weekly_aggregate(archive.scored_view(), "app1", start, start + dt.timedelta(days=13))
-    assert len(series.points) == 2
-    assert series.points[0] == WeekPoint(0, 3.0, 1, pytest.approx(13.0))
-    assert series.points[1].week_index == 1
-    assert series.points[1].mean_combined == -3.0
+    assert len(series.n_reviews) == 2
+    assert (series.mean_combined[0], series.n_reviews[0], series.mean_length[0]) == (
+        3.0, 1, pytest.approx(13.0)
+    )
+    assert series.mean_combined[1] == -3.0
 
 
 def test_paper_window_has_50_bins():
@@ -75,7 +73,7 @@ def test_paper_window_has_50_bins():
     archive.add_app(make_app("app1"))
     add_scored_review(archive, "app1", "r0", 2, date=WINDOW_START)
     series = weekly_aggregate(archive.scored_view(), "app1", WINDOW_START, WINDOW_END)
-    assert len(series.points) == 50
+    assert len(series.n_reviews) == len(series.mean_combined) == len(series.mean_length) == 50
 
 
 def test_empty_weeks_have_no_fabricated_means():
@@ -85,8 +83,9 @@ def test_empty_weeks_have_no_fabricated_means():
     series = weekly_aggregate(
         archive.scored_view(), "app1", WINDOW_START, WINDOW_START + dt.timedelta(days=20)
     )
-    assert series.points[1].mean_combined is None
-    assert series.points[1].n_reviews == 0
+    assert series.mean_combined[1] is None
+    assert series.n_reviews[1] == 0
+    assert series.mean_length[1] is None
 
 
 def test_undefined_reviews_not_counted():
@@ -97,8 +96,8 @@ def test_undefined_reviews_not_counted():
     series = weekly_aggregate(
         archive.scored_view(), "app1", WINDOW_START, WINDOW_START + dt.timedelta(days=6)
     )
-    assert series.points[0].n_reviews == 1
-    assert series.points[0].mean_combined == 4.0
+    assert series.n_reviews[0] == 1
+    assert series.mean_combined[0] == 4.0
 
 
 def test_review_count_conservation_and_order_invariance():
@@ -116,7 +115,7 @@ def test_review_count_conservation_and_order_invariance():
         all_series = weekly_aggregates(archive.scored_view(), app_ids, WINDOW_START, WINDOW_END)
         assert [series.app_id for series in all_series] == app_ids
         for app_id, series in zip(app_ids, all_series):
-            counts = [0] * len(series.points)
+            counts = [0] * len(series.n_reviews)
             for key, review in archive.reviews.items():
                 if (
                     review.app_id == app_id
@@ -124,7 +123,7 @@ def test_review_count_conservation_and_order_invariance():
                     and combine(archive.scores[key]) is not None
                 ):
                     counts[(review.date - WINDOW_START).days // 7] += 1
-            assert [p.n_reviews for p in series.points] == counts
+            assert list(series.n_reviews) == counts
             assert list(series.releases) == sorted(
                 ((release.date - WINDOW_START).days // 7, release.version)
                 for release in archive.releases.values()
