@@ -18,12 +18,10 @@ counted in the polarity shares.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
-from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
@@ -42,8 +40,7 @@ class Topic(Enum):
     RATING = "Rating"
 
 
-@dataclass(frozen=True)
-class CategorySummary:
+class CategorySummary(NamedTuple):
     category: str
     n_free: int
     n_paid: int
@@ -57,8 +54,7 @@ class CategorySummary:
     share_undefined: float
 
 
-@dataclass(frozen=True)
-class RatingSummary:
+class RatingSummary(NamedTuple):
     rating: int
     n: int
     minimum: float
@@ -72,15 +68,13 @@ class RatingSummary:
     n_strong_negative: int
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     pearson: float
     spearman: float
     n: int
 
 
-@dataclass(frozen=True)
-class DispersionStats:
+class DispersionStats(NamedTuple):
     n: int
     value_range: float
     iqr: float
@@ -131,6 +125,8 @@ def sample_sd(values: Sequence[float]) -> float:
         raise ValueError("sd of empty data")
     if len(values) == 1:
         return 0.0
+    import statistics  # here, not at the top: summarize never needs it, and it loads slowly
+
     return statistics.stdev(values)
 
 
@@ -171,6 +167,8 @@ def _check_pairs(xs: Sequence[float], ys: Sequence[float]) -> None:
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Product-moment correlation; errors out instead of returning NaN."""
     _check_pairs(xs, ys)
+    import statistics
+
     try:
         return statistics.correlation(xs, ys)
     except statistics.StatisticsError as exc:
@@ -195,6 +193,8 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Rank correlation: pearson over average-ranked data."""
     _check_pairs(xs, ys)
+    import statistics
+
     try:
         return statistics.correlation(average_ranks(xs), average_ranks(ys))
     except statistics.StatisticsError as exc:
@@ -345,8 +345,7 @@ def dispersion_by_topic(
     return stats
 
 
-@dataclass(frozen=True)
-class TopicRow:
+class TopicRow(NamedTuple):
     row_id: str
     topic: Topic
     title: str
@@ -384,19 +383,13 @@ def parse_topic_rows(stream: IO[str]) -> tuple[list[TopicRow], list[tuple[int, s
 def write_category_report(
     summaries: Iterable[CategorySummary], stream: IO[str]
 ) -> None:
-    """One column per ``CategorySummary`` field, in declaration order."""
-    columns = fields(CategorySummary)
+    """One column per ``CategorySummary`` field, in declaration order: the
+    category and its three counts as they are, then each statistic
+    through ``fmt``."""
     out = writer(stream)
-    out.writerow([column.name for column in columns])
+    out.writerow(CategorySummary._fields)
     for s in summaries:
-        out.writerow(
-            [
-                fmt(getattr(s, column.name))
-                if column.type.startswith("float")
-                else getattr(s, column.name)
-                for column in columns
-            ]
-        )
+        out.writerow([*s[:4], *map(fmt, s[4:])])
 
 
 def write_correlation_report(

@@ -20,7 +20,6 @@ import logging
 import os
 import sys
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
@@ -287,8 +286,8 @@ def cmd_patterns(args) -> int:
     from . import temporal
 
     view = _load_view(args)
-    config = temporal.PatternConfig(
-        **{f.name: getattr(args, f.name) for f in fields(temporal.PatternConfig)}
+    config = temporal.PatternConfig._make(
+        getattr(args, name) for name in temporal.PatternConfig._fields
     )
     app_ids = temporal.qualifying_apps(
         view, args.window_start, args.window_end, args.min_reviews
@@ -365,11 +364,11 @@ def _add_pattern_flags(parser) -> None:
         default=temporal.DEFAULT_QUALIFYING_REVIEWS,
         help="apps need strictly more reviews in the window (default %(default)s)",
     )
-    for f in fields(temporal.PatternConfig):
+    for name, default in temporal.DEFAULT_PATTERN_CONFIG._asdict().items():
         parser.add_argument(
-            f"--{f.name.replace('_', '-')}",
-            type=type(f.default),
-            default=f.default,
+            f"--{name.replace('_', '-')}",
+            type=type(default),
+            default=default,
             help="PatternConfig.%(dest)s (default %(default)s)",
         )
     _add_out_flag(parser)

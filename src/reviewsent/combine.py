@@ -3,8 +3,8 @@ the -5..+5 scale.
 
 A :class:`SentimentScore` holds a positive strength in [1,5] and a
 negative strength in [-5,-1]; building one outside those raises. This
-module imports nothing from the package, so the store and the reports
-read scores without loading the scorer.
+module imports only the record base from the package, so the store and
+the reports read scores without loading the scorer.
 
 The positive strength wins when it outweighs the negative one and vice
 versa. Balanced scores are neutral (0) when weak, and unclassifiable
@@ -14,8 +14,10 @@ modeled as ``None`` and serialized as the literal string "undefined".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+from .records import Checked
 
 POSITIVE_RANGE = (1, 5)
 NEGATIVE_RANGE = (-5, -1)
@@ -33,18 +35,22 @@ class Polarity(Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True, slots=True)
-class SentimentScore:
-    """Dual sentiment strengths: positive in [1,5], negative in [-5,-1]."""
-
+class _SentimentScore(NamedTuple):
     positive: int
     negative: int
 
-    def __post_init__(self):
-        if not POSITIVE_RANGE[0] <= self.positive <= POSITIVE_RANGE[1]:
-            raise ValueError(f"positive strength {self.positive} outside [1,5]")
-        if not NEGATIVE_RANGE[0] <= self.negative <= NEGATIVE_RANGE[1]:
-            raise ValueError(f"negative strength {self.negative} outside [-5,-1]")
+
+class SentimentScore(Checked, _SentimentScore):
+    """Dual sentiment strengths: positive in [1,5], negative in [-5,-1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, positive, negative):
+        if not POSITIVE_RANGE[0] <= positive <= POSITIVE_RANGE[1]:
+            raise ValueError(f"positive strength {positive} outside [1,5]")
+        if not NEGATIVE_RANGE[0] <= negative <= NEGATIVE_RANGE[1]:
+            raise ValueError(f"negative strength {negative} outside [-5,-1]")
+        return tuple.__new__(cls, (positive, negative))
 
 
 def combine(score: SentimentScore) -> int | None:

@@ -10,11 +10,11 @@ matched longest-first so no partial replacement can corrupt the text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Mapping
+from typing import IO, Mapping, NamedTuple
 
 from .lexicon import LexiconError
+from .records import Checked
 from .tables import read_rows
 
 POLARITIES = (-1, 0, 1)
@@ -32,33 +32,40 @@ class EmojiLexiconError(LexiconError):
     """Malformed emoji lexicon input."""
 
 
-@dataclass(frozen=True)
-class EmojiEntry:
+class _EmojiEntry(NamedTuple):
     emoji: str  # full codepoint sequence
     occurrences: int
     polarity: int
 
-    def __post_init__(self):
-        if not self.emoji:
+
+class EmojiEntry(Checked, _EmojiEntry):
+    __slots__ = ()
+
+    def __new__(cls, emoji, occurrences, polarity):
+        if not emoji:
             raise EmojiLexiconError("empty emoji codepoint sequence")
-        if self.occurrences < 0:
-            raise EmojiLexiconError(f"negative occurrence count for {self.emoji!r}")
-        if self.polarity not in POLARITIES:
-            raise EmojiLexiconError(
-                f"polarity {self.polarity} for {self.emoji!r} not in {{-1, 0, 1}}"
-            )
+        if occurrences < 0:
+            raise EmojiLexiconError(f"negative occurrence count for {emoji!r}")
+        if polarity not in POLARITIES:
+            raise EmojiLexiconError(f"polarity {polarity} for {emoji!r} not in {{-1, 0, 1}}")
+        return tuple.__new__(cls, (emoji, occurrences, polarity))
 
 
-@dataclass(frozen=True)
-class EmojiLexicon:
-    entries: tuple[EmojiEntry, ...] = ()
+class _EmojiLexicon(NamedTuple):
+    entries: tuple[EmojiEntry, ...]
 
-    def __post_init__(self):
+
+class EmojiLexicon(Checked, _EmojiLexicon):
+    """The entries, each emoji once. Its length is the entry count, not
+    the one field's; it keeps a ``__dict__`` for the scanner's caches."""
+
+    def __new__(cls, entries=()):
         seen: set[str] = set()
-        for entry in self.entries:
+        for entry in entries:
             if entry.emoji in seen:
                 raise EmojiLexiconError(f"duplicate emoji {entry.emoji!r}")
             seen.add(entry.emoji)
+        return tuple.__new__(cls, (entries,))
 
     def __len__(self) -> int:
         return len(self.entries)

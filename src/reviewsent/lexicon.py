@@ -21,10 +21,11 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+
+from .records import NEW_DICT, Checked
 
 log = logging.getLogger(__name__)
 
@@ -65,38 +66,45 @@ class LexiconError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class _Lexicon(NamedTuple):
+    sentiment_terms: Mapping[str, int]
+    boosters: Mapping[str, int]
+    emoticons: Mapping[str, int]
+    slang: Mapping[str, str]
+
+
+class Lexicon(Checked, _Lexicon):
     """Immutable dictionaries used by the scorer.
 
     Sentiment and emoticon scores are integers in [-5,-1] or [1,5];
     booster values are integers in [-2,2]. A term may not appear in
-    both the sentiment and booster dictionaries.
+    both the sentiment and booster dictionaries. It keeps a ``__dict__``
+    for the scorer's cache.
     """
 
-    sentiment_terms: Mapping[str, int] = field(default_factory=dict)
-    boosters: Mapping[str, int] = field(default_factory=dict)
-    emoticons: Mapping[str, int] = field(default_factory=dict)
-    slang: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for mapping in (self.sentiment_terms, self.boosters, self.emoticons, self.slang):
+    def __new__(
+        cls, sentiment_terms=NEW_DICT, boosters=NEW_DICT, emoticons=NEW_DICT, slang=NEW_DICT
+    ):
+        maps = [{} if m is NEW_DICT else m for m in (sentiment_terms, boosters, emoticons, slang)]
+        sentiment_terms, boosters, emoticons, slang = maps
+        for mapping in maps:
             if any(not term for term in mapping):
                 raise LexiconError("empty terms are not allowed")
-        for term, score in self.sentiment_terms.items():
+        for term, score in sentiment_terms.items():
             _check_score(f"sentiment term {term!r}", score)
-        for term, boost in self.boosters.items():
+        for term, boost in boosters.items():
             _check_boost(f"booster {term!r}", boost)
-        for face, score in self.emoticons.items():
+        for face, score in emoticons.items():
             _check_score(f"emoticon {face!r}", score)
-        for term, target in self.slang.items():
+        for term, target in slang.items():
             if not target:
                 raise LexiconError(f"slang {term!r} maps to an empty term")
-        overlap = sorted(set(self.sentiment_terms) & set(self.boosters))
+        overlap = sorted(set(sentiment_terms) & set(boosters))
         if overlap:
             raise LexiconError(
                 f"terms present in both sentiment and booster dictionaries: {overlap}"
             )
+        return tuple.__new__(cls, maps)
 
     @cached_property
     def _compiled(self) -> Compiled:

@@ -29,14 +29,13 @@ import zlib
 from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields
-from functools import cache
 from itertools import chain, pairwise
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, NamedTuple
 
 from .combine import SentimentScore, combine, format_combined, parse_combined
+from .records import NEW_DICT, Checked
 from .tables import read_rows
 
 log = logging.getLogger(__name__)
@@ -50,34 +49,41 @@ class ArchiveLockedError(ArchiveError):
     """Another writer holds the archive lock."""
 
 
-@dataclass(frozen=True, slots=True)
-class AppRecord:
-    """One store listing. ``raw_details`` keeps the store payload verbatim."""
-
+class _AppRecord(NamedTuple):
     app_id: str
     name: str
     primary_category: str
     price: float
-    current_version: str = ""
-    raw_details: Mapping[str, object] = field(default_factory=dict)
+    current_version: str
+    raw_details: Mapping[str, object]
 
-    def __post_init__(self):
-        if not self.app_id:
+
+class AppRecord(Checked, _AppRecord):
+    """One store listing. ``raw_details`` keeps the store payload verbatim."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, app_id, name, primary_category, price, current_version="", raw_details=NEW_DICT
+    ):
+        if not app_id:
             raise ArchiveError("app_id must be nonempty")
-        if not math.isfinite(self.price):
-            raise ArchiveError(f"app {self.app_id}: price {self.price} is not finite")
-        if self.price < 0:
-            raise ArchiveError(f"app {self.app_id}: price {self.price} < 0")
+        if not math.isfinite(price):
+            raise ArchiveError(f"app {app_id}: price {price} is not finite")
+        if price < 0:
+            raise ArchiveError(f"app {app_id}: price {price} < 0")
+        if raw_details is NEW_DICT:
+            raw_details = {}
+        return tuple.__new__(
+            cls, (app_id, name, primary_category, price, current_version, raw_details)
+        )
 
     @property
     def is_free(self) -> bool:
         return self.price == 0
 
 
-@dataclass(frozen=True, slots=True)
-class Review:
-    """One user review. ``raw`` keeps the feed payload verbatim."""
-
+class _Review(NamedTuple):
     review_id: str
     app_id: str
     author: str
@@ -85,21 +91,32 @@ class Review:
     body: str
     rating: int
     date: dt.date
-    helpful_votes: int = 0
-    app_version: str = ""
-    raw: Mapping[str, object] = field(default_factory=dict)
+    helpful_votes: int
+    app_version: str
+    raw: Mapping[str, object]
 
-    def __post_init__(self):
-        if not self.review_id or not self.app_id:
+
+class Review(Checked, _Review):
+    """One user review. ``raw`` keeps the feed payload verbatim."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, review_id, app_id, author, title, body, rating, date,
+        helpful_votes=0, app_version="", raw=NEW_DICT,
+    ):
+        if not review_id or not app_id:
             raise ArchiveError("review_id and app_id must be nonempty")
-        if not 1 <= self.rating <= 5:
-            raise ArchiveError(
-                f"review {self.review_id}: rating {self.rating} outside [1,5]"
-            )
-        if self.helpful_votes < 0:
-            raise ArchiveError(
-                f"review {self.review_id}: helpful_votes {self.helpful_votes} < 0"
-            )
+        if not 1 <= rating <= 5:
+            raise ArchiveError(f"review {review_id}: rating {rating} outside [1,5]")
+        if helpful_votes < 0:
+            raise ArchiveError(f"review {review_id}: helpful_votes {helpful_votes} < 0")
+        if raw is NEW_DICT:
+            raw = {}
+        return tuple.__new__(
+            cls,
+            (review_id, app_id, author, title, body, rating, date, helpful_votes, app_version, raw),
+        )
 
     @property
     def text_length(self) -> int:
@@ -107,16 +124,20 @@ class Review:
         return len(self.title) + len(self.body)
 
 
-@dataclass(frozen=True, slots=True)
-class Release:
+class _Release(NamedTuple):
     app_id: str
     version: str
     date: dt.date
-    notes: str = ""
+    notes: str
 
-    def __post_init__(self):
-        if not self.app_id or not self.version:
+
+class Release(Checked, _Release):
+    __slots__ = ()
+
+    def __new__(cls, app_id, version, date, notes=""):
+        if not app_id or not version:
             raise ArchiveError("release app_id and version must be nonempty")
+        return tuple.__new__(cls, (app_id, version, date, notes))
 
 
 # the combined column's value for an unclassifiable review, outside -5..5
@@ -125,8 +146,7 @@ UNDEFINED_COMBINED = -128
 VIEW_COLUMNS = {"rating": "b", "day": "i", "combined": "b", "text_length": "q"}
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredView:
+class ScoredView(NamedTuple):
     """What the reports read from an archive.
 
     One ``array`` column per field of its scored reviews, in review key
@@ -153,7 +173,6 @@ class ScoredView:
     releases: list[tuple[str, str, int]]
 
 
-@dataclass(repr=False)
 class Archive:
     """In-memory collection of apps, reviews, releases, and scores.
 
@@ -162,17 +181,35 @@ class Archive:
     ``load_skips``.
     """
 
-    apps: dict[str, AppRecord] = field(default_factory=dict)
-    reviews: dict[tuple[str, str], Review] = field(default_factory=dict)
-    releases: dict[tuple[str, str], Release] = field(default_factory=dict)
-    scores: dict[tuple[str, str], SentimentScore] = field(default_factory=dict)
-    load_skips: list[tuple[int, str]] = field(default_factory=list, compare=False)
+    def __init__(self) -> None:
+        self.apps: dict[str, AppRecord] = {}
+        self.reviews: dict[tuple[str, str], Review] = {}
+        self.releases: dict[tuple[str, str], Release] = {}
+        self.scores: dict[tuple[str, str], SentimentScore] = {}
+        self.load_skips: list[tuple[int, str]] = []
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        tables = (self.apps, self.reviews, self.releases, self.scores)
+        return tables == (other.apps, other.reviews, other.releases, other.scores)
+
+    __hash__ = None  # mutable
 
     def add_app(self, app: AppRecord) -> None:
         self.apps[app.app_id] = app
 
     def add_review(self, review: Review) -> None:
-        self.reviews[(review.app_id, review.review_id)] = review
+        self._put_reviews({(review.app_id, review.review_id): review})
+
+    def _put_reviews(self, reviews: Mapping[tuple[str, str], Review]) -> None:
+        """Add ``reviews`` by key. A review that replaces one with another
+        title or body drops that one's score, which was of the old text."""
+        for key in self.reviews.keys() & reviews.keys():
+            old, new = self.reviews[key], reviews[key]
+            if old.title != new.title or old.body != new.body:
+                self.scores.pop(key, None)
+        self.reviews.update(reviews)
 
     def add_release(self, release: Release) -> None:
         self.releases[(release.app_id, release.version)] = release
@@ -183,9 +220,11 @@ class Archive:
         self.scores[(app_id, review_id)] = score
 
     def merge(self, other: "Archive") -> None:
-        """Absorb another archive; colliding identities take the other's entity."""
+        """Absorb another archive; colliding identities take the other's
+        entity, and a review whose text the other changes takes the other's
+        score or none."""
         self.apps.update(other.apps)
-        self.reviews.update(other.reviews)
+        self._put_reviews(other.reviews)
         self.releases.update(other.releases)
         for key, score in other.scores.items():
             if key not in self.reviews:
@@ -247,14 +286,9 @@ class Archive:
 # --- persistence -----------------------------------------------------------
 
 
-@cache  # fields() on every line made encoding 12k review lines ~15% slower
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 def _entity_to_json(kind: str, entity, **extra) -> dict:
-    """An archive line: ``kind``, every dataclass field of ``entity``, ``extra``."""
-    line = {name: getattr(entity, name) for name in _field_names(type(entity))}
+    """An archive line: ``kind``, every field of the record ``entity``, ``extra``."""
+    line = {name: getattr(entity, name) for name in entity._fields}
     line.update(kind=kind, **extra)
     return line
 
@@ -418,27 +452,29 @@ def _archive_lines(archive: Archive) -> Iterator[str]:
         app = apps[app_id]
         yield _encode(_entity_to_json("app", app, is_free=app.is_free)) + "\n"
 
-    quote, date = _quote, dt.date
+    quote, date_type = _quote, dt.date
     for key in sorted(reviews):
         r = reviews[key]
-        if (
-            type(r) is Review
-            and type(r.app_id) is type(r.app_version) is type(r.author) is str
-            and type(r.body) is type(r.review_id) is type(r.title) is str
-            and type(r.rating) is type(r.helpful_votes) is int
-            and type(r.date) is date
-            and type(r.raw) is dict
-        ):
-            yield (
-                f'{{"app_id": {quote(r.app_id)}, "app_version": {quote(r.app_version)}, '
-                f'"author": {quote(r.author)}, "body": {quote(r.body)}, '
-                f'"date": "{r.date.isoformat()}", "helpful_votes": {r.helpful_votes}, '
-                f'"kind": "review", "rating": {r.rating}, '
-                f'"raw": {_encode(r.raw) if r.raw else "{}"}, '
-                f'"review_id": {quote(r.review_id)}, "title": {quote(r.title)}}}\n'
-            )
-        else:
-            yield _encode(_entity_to_json("review", r)) + "\n"
+        if type(r) is Review:
+            # one unpack: reading a NamedTuple's fields by name is slower
+            review_id, app_id, author, title, body, rating, date, votes, version, raw = r
+            if (
+                type(app_id) is type(version) is type(author) is str
+                and type(body) is type(review_id) is type(title) is str
+                and type(rating) is type(votes) is int
+                and type(date) is date_type
+                and type(raw) is dict
+            ):
+                yield (
+                    f'{{"app_id": {quote(app_id)}, "app_version": {quote(version)}, '
+                    f'"author": {quote(author)}, "body": {quote(body)}, '
+                    f'"date": "{date.isoformat()}", "helpful_votes": {votes}, '
+                    f'"kind": "review", "rating": {rating}, '
+                    f'"raw": {_encode(raw) if raw else "{}"}, '
+                    f'"review_id": {quote(review_id)}, "title": {quote(title)}}}\n'
+                )
+                continue
+        yield _encode(_entity_to_json("review", r)) + "\n"
 
     for key in sorted(archive.releases):
         yield _encode(_entity_to_json("release", archive.releases[key])) + "\n"
@@ -569,7 +605,7 @@ def _read_archive(stream: IO[bytes], path: str | Path) -> Archive:
             skips.append((lineno, str(exc) or repr(exc)))
 
     # each distinct (positive, negative, combined) is checked once; its
-    # score is shared, which a frozen dataclass allows. Exact types only:
+    # score is shared, which an immutable record allows. Exact types only:
     # True == 1 and hashes alike, but str(True) != str(1).
     checked: dict[tuple[int, int, str], SentimentScore] = {}
     for lineno, obj in pending_scores:

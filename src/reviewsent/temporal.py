@@ -15,15 +15,14 @@ skipped, never interpolated, when classifying.
 from __future__ import annotations
 
 import datetime as dt
-import statistics
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 # combine is unused here but stays bound: benchmarks/selftest.py asserts that
 # benchmarks/traced.py finds and wraps this binding
 from .combine import combine  # noqa: F401
+from .records import Checked
 from .store import UNDEFINED_COMBINED, ScoredView
 from .tables import fmt, writer
 
@@ -40,8 +39,16 @@ class PatternLabel(Enum):
     STEADY_INCREASE = "SteadyIncrease"
 
 
-@dataclass(frozen=True)
-class PatternConfig:
+class _PatternConfig(NamedTuple):
+    jump_threshold: float
+    window: int
+    slope_threshold: float
+    fit_threshold: float
+    low_variance: float
+    min_weekly_reviews: int
+
+
+class PatternConfig(Checked, _PatternConfig):
     """Thresholds for pattern classification.
 
     jump_threshold: windowed mean shift (combined units) that counts as
@@ -52,40 +59,36 @@ class PatternConfig:
     ignored when classifying.
     """
 
-    jump_threshold: float = 2.0
-    window: int = 3
-    slope_threshold: float = 0.03
-    fit_threshold: float = 0.5
-    low_variance: float = 0.5
-    min_weekly_reviews: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls, jump_threshold=2.0, window=3, slope_threshold=0.03, fit_threshold=0.5,
+        low_variance=0.5, min_weekly_reviews=1,
+    ):
         # written so that NaN fails each comparison: a NaN threshold would
         # switch its labels off
-        if not self.jump_threshold > 0:
+        if not jump_threshold > 0:
             raise ValueError("jump_threshold must be > 0")
-        if self.window < 1:
+        if window < 1:
             raise ValueError("window must be >= 1")
-        if not self.slope_threshold > 0:
+        if not slope_threshold > 0:
             raise ValueError("slope_threshold must be > 0")
-        if not 0 <= self.fit_threshold <= 1:
+        if not 0 <= fit_threshold <= 1:
             raise ValueError("fit_threshold must be in [0,1]")
-        if not self.low_variance >= 0:
+        if not low_variance >= 0:
             raise ValueError("low_variance must be >= 0")
-        if self.min_weekly_reviews < 1:
+        if min_weekly_reviews < 1:
             raise ValueError("min_weekly_reviews must be >= 1")
+        values = (
+            jump_threshold, window, slope_threshold, fit_threshold, low_variance, min_weekly_reviews
+        )
+        return tuple.__new__(cls, values)
 
 
 DEFAULT_PATTERN_CONFIG = PatternConfig()
 
 
-@dataclass(frozen=True)
-class WeeklySeries:
-    """One app's weekly series, one column per bin field: week ``w`` (from
-    the window start) holds ``n_reviews[w]`` reviews, with their mean
-    combined sentiment and mean text length, or ``None`` for both when it
-    is empty. ``releases`` are ``(week, version)`` pairs."""
-
+class _WeeklySeries(NamedTuple):
     app_id: str
     start_date: dt.date
     n_reviews: tuple[int, ...]
@@ -93,19 +96,30 @@ class WeeklySeries:
     mean_length: tuple[float | None, ...]
     releases: tuple[tuple[int, str], ...]
 
-    def __post_init__(self):
-        if not len(self.n_reviews) == len(self.mean_combined) == len(self.mean_length):
+
+class WeeklySeries(Checked, _WeeklySeries):
+    """One app's weekly series, one column per bin field: week ``w`` (from
+    the window start) holds ``n_reviews[w]`` reviews, with their mean
+    combined sentiment and mean text length, or ``None`` for both when it
+    is empty. ``releases`` are ``(week, version)`` pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, app_id, start_date, n_reviews, mean_combined, mean_length, releases):
+        if not len(n_reviews) == len(mean_combined) == len(mean_length):
             raise ValueError("weekly columns differ in length")
-        if [n == 0 for n in self.n_reviews] != [m is None for m in self.mean_combined]:
+        if [n == 0 for n in n_reviews] != [m is None for m in mean_combined]:
             raise ValueError("a week's mean must be absent exactly when it is empty")
+        return tuple.__new__(
+            cls, (app_id, start_date, n_reviews, mean_combined, mean_length, releases)
+        )
 
     @property
     def total_reviews(self) -> int:
         return sum(self.n_reviews)
 
 
-@dataclass(frozen=True)
-class ReleaseImpact:
+class ReleaseImpact(NamedTuple):
     pre_mean: float | None
     post_mean: float | None
     delta: float | None
@@ -179,6 +193,8 @@ def _rows(view: ScoredView, app_id: str) -> slice:
 
 def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Least-squares slope and R-squared of ys against xs."""
+    import statistics  # here, not at the top: timeline never needs it, and it loads slowly
+
     slope = statistics.linear_regression(xs, ys).slope
     try:
         r = statistics.correlation(xs, ys)
@@ -216,6 +232,8 @@ def classify_patterns(
         raise ValueError(
             f"insufficient data: {len(usable)} usable weeks, need {MIN_PATTERN_POINTS}"
         )
+    import statistics
+
     weeks = [float(week) for week, _ in usable]
     means = [mean for _, mean in usable]
 
@@ -280,11 +298,15 @@ def release_impact(series: WeeklySeries, release_week: int, window: int) -> Rele
 
 
 def _window_mean(means: Sequence[float | None]) -> float | None:
+    import statistics
+
     defined = [mean for mean in means if mean is not None]
     return statistics.fmean(defined) if defined else None
 
 
 def _window_volume(counts: Sequence[int]) -> float:
+    import statistics
+
     return statistics.fmean(counts) if counts else 0.0
 
 

@@ -23,7 +23,6 @@ import time
 import unicodedata
 import zlib
 from collections.abc import Iterator, Mapping
-from dataclasses import fields
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import NamedTuple
@@ -681,7 +680,7 @@ def _reference_json(obj: object) -> str:
 
 
 def _reference_line(kind: str, entity, **extra) -> str:
-    line = {f.name: getattr(entity, f.name) for f in fields(entity)}
+    line = {name: getattr(entity, name) for name in entity._fields}
     line.update(kind=kind, **extra)
     try:
         return _reference_json(line)
@@ -692,7 +691,7 @@ def _reference_line(kind: str, entity, **extra) -> str:
 def reference_archive_text(archive: Archive) -> tuple[str, bytes | None]:
     """The archive text that ``store.save_archive`` writes, and its
     sidecar's bytes (``None`` when the archive has no scored view), made
-    one whole ``json.dumps`` line at a time: every entity's dataclass
+    one whole ``json.dumps`` line at a time: every entity's record
     fields, ``kind`` and the extras. Each line is written to a UTF-8 text
     stream as it is made, so a string that UTF-8 cannot encode (a lone
     surrogate) raises as a text-mode archive file raises."""

@@ -26,6 +26,7 @@ from helpers import (
     force_split,
     lookup_payload,
     make_app,
+    make_review,
     mutated,
     random_archive,
     run_python,
@@ -149,14 +150,19 @@ rc = main(sys.argv[2:])
 print(rc, *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
 """
 REPORT_MODULES = ("reviewsent.analytics", "reviewsent.temporal", "reviewsent.client")
+# slow to import: dataclasses loads inspect (and with it ast, dis and
+# tokenize); only the client, which ``ingest --app-id`` alone loads, may
+# need it. statistics only where a report computes with it
+SLOW_MODULES = ("dataclasses", "inspect", "statistics")
 
 
 def _modules_loaded(argv: list) -> list[str]:
-    """The exit code of ``argv`` in a fresh interpreter, then the report
-    and client modules it loaded."""
+    """The exit code of ``argv`` in a fresh interpreter, then the report,
+    client and slow modules it loaded."""
     src = Path(__file__).resolve().parent.parent / "src"
+    watched = ",".join(REPORT_MODULES + SLOW_MODULES)
     result = subprocess.run(
-        [sys.executable, "-c", COMMAND_IMPORTS_SCRIPT, ",".join(REPORT_MODULES), *map(str, argv)],
+        [sys.executable, "-c", COMMAND_IMPORTS_SCRIPT, watched, *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
@@ -171,14 +177,45 @@ def test_each_command_loads_only_its_modules(tmp_path, fixture_archive):
     assert _modules_loaded(ingest) == ["0"]
     assert _modules_loaded(["score", "--no-emoji", "--archive", fixture_archive]) == ["0"]
     out = ["--out", tmp_path / "out.csv"]
-    for report in (["summarize"], ["correlate", "--target", "rating"]):
-        loaded = _modules_loaded([*report, "--archive", fixture_archive, *out])
-        assert loaded == ["0", "reviewsent.analytics"], report
+    loaded = _modules_loaded(["summarize", "--archive", fixture_archive, *out])
+    assert loaded == ["0", "reviewsent.analytics"]
+    for target in ("rating", "price"):
+        correlate = ["correlate", "--target", target, "--archive", fixture_archive, *out]
+        loaded = _modules_loaded(correlate)
+        assert loaded == ["0", "reviewsent.analytics", "statistics"], target
     app = sorted(load_archive(fixture_archive).apps)[0]
-    for report in (["timeline", "--app-id", app], ["patterns", "--min-reviews", "0"]):
-        command, *flags = report
-        loaded = _modules_loaded([command, "--archive", fixture_archive, *flags, *WINDOW, *out])
-        assert loaded == ["0", "reviewsent.temporal"], report
+    timeline = ["timeline", "--app-id", app, "--archive", fixture_archive, *WINDOW, *out]
+    assert _modules_loaded(timeline) == ["0", "reviewsent.temporal"]
+    patterns = ["patterns", "--min-reviews", "0", "--archive", fixture_archive, *WINDOW, *out]
+    assert _modules_loaded(patterns) == ["0", "reviewsent.temporal", "statistics"]
+    # topics scores and takes the sample SD of each topic's values
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text(LABELED, encoding="utf-8")
+    topics = ["topics", "--no-emoji", "--labeled", labeled, *out]
+    assert _modules_loaded(topics) == ["0", "reviewsent.analytics", "statistics"]
+
+
+RECORD_IMPORTS_SCRIPT = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(*sorted(m for m in sys.argv[2:] if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "module", ["reviewsent.store", "reviewsent.analytics", "reviewsent.temporal"]
+)
+def test_record_modules_load_no_dataclasses(module):
+    # their records are NamedTuples, and statistics loads only when called
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", RECORD_IMPORTS_SCRIPT, module, *SLOW_MODULES],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == []
 
 
 def test_client_errors_end_as_an_error_line(tmp_path, stub_server, capsys):
@@ -227,6 +264,32 @@ def test_summarize_before_score_fails(fixture_archive, capsys):
     rc = run(["summarize", "--archive", fixture_archive])
     assert rc == 1
     assert "run score first" in capsys.readouterr().err
+
+
+def test_ingesting_an_edited_review_needs_a_new_score(tmp_path, capsys):
+    # the old score was of the old text: reports must not use it
+    archive, edited = tmp_path / "archive.jsonl", tmp_path / "edited.jsonl"
+    for path, rating, title, body in [
+        (archive, 5, "love it", "great app"),
+        (edited, 1, "hate it", "terrible awful app"),
+    ]:
+        one = Archive()
+        one.add_app(make_app("app1"))
+        one.add_review(make_review("app1", "r1", rating, title=title, body=body))
+        save_archive(one, path)
+    summary = tmp_path / "summary.csv"
+    summarize = ["summarize", "--archive", archive, "--out", summary]
+    assert run(["score", "--no-emoji", "--archive", archive]) == 0
+    assert run(summarize) == 0
+    assert summary.read_text(encoding="utf-8").splitlines()[-1].split(",")[4] == "4.000000"
+    assert run(["ingest", "--archive", archive, "--import-archive", edited]) == 0
+    assert "1 reviews, 0 releases, 0 scores" in capsys.readouterr().out
+    assert not store.view_path(archive).exists()
+    assert run(summarize) == 1
+    assert capsys.readouterr().err == "error: 1 reviews have no score; run score first\n"
+    assert run(["score", "--no-emoji", "--archive", archive]) == 0
+    assert run(summarize) == 0
+    assert summary.read_text(encoding="utf-8").splitlines()[-1].split(",")[4] == "-4.000000"
 
 
 def test_timeline_before_score_fails(fixture_archive, capsys):

@@ -1,6 +1,5 @@
 """Tokenization rules and dual-polarity scoring."""
 
-import dataclasses
 import multiprocessing
 import os
 import random
@@ -299,7 +298,7 @@ def test_score_text_matches_reference_on_edge_cases(text):
 
 def test_chunk_memo_stays_within_limit(monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_MEMO_LIMIT", 8)
-    lexicon = dataclasses.replace(PROPERTY_LEXICON)  # a fresh, empty memo
+    lexicon = PROPERTY_LEXICON._replace()  # a fresh, empty memo
     rng = random.Random(4401)
     for _ in range(200):
         words = [rng.choice(PIECES) + str(rng.randrange(50)) for _ in range(rng.randint(0, 12))]
@@ -317,8 +316,7 @@ EDGE_PIECES = [
     "\u0301good", "good\u0301", "\u02b0\u02b0\u02b0", "good\u02b0", "\u02bcok",  # marks, modifier letters
     "aa.aaa", "oo!ooo", "zz-zzz", "zzz.zz",  # runs cut by punctuation
 ]
-EDGE_LEXICON = dataclasses.replace(
-    PROPERTY_LEXICON,
+EDGE_LEXICON = PROPERTY_LEXICON._replace(
     sentiment_terms={
         **PROPERTY_LEXICON.sentiment_terms,
         "οδος": -2, "σ": 1, "σας": -5, "σσς": 5, "i\u0307": 2, "1111": 4, "x____": -1,
@@ -336,7 +334,7 @@ EDGE_TEXT = st.lists(
 @example("ΟΔΟΣ GREAT (ΣΑΣ). Great ΣΣΣ\tzoo")
 @example("«İİİ» ΣΣ.ΣΣΣ\u00a0ΟΔΟΣ goodgreat")
 def test_batched_words_match_token_reference(text):
-    lexicon = dataclasses.replace(EDGE_LEXICON)  # a fresh, empty memo
+    lexicon = EDGE_LEXICON._replace()  # a fresh, empty memo
     expected = reference_score_text(lexicon, text)
     assert score_text(lexicon, text) == expected  # every word unseen
     assert score_text(lexicon, text) == expected  # every word from the memo
@@ -344,7 +342,7 @@ def test_batched_words_match_token_reference(text):
 
 def test_text_with_more_unseen_words_than_the_memo_holds(monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_MEMO_LIMIT", 8)
-    lexicon = dataclasses.replace(PROPERTY_LEXICON)  # a fresh, empty memo
+    lexicon = PROPERTY_LEXICON._replace()  # a fresh, empty memo
     rng = random.Random(1907)
     # distinct chunks that still hold lexicon words: "go{n}d" is "good",
     # "zo{n}" is "zoo", and punctuation peels off the rest

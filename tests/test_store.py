@@ -1,6 +1,5 @@
 """Archive model, persistence round-trips, and release import."""
 
-import dataclasses
 import datetime as dt
 import io
 import json
@@ -179,9 +178,53 @@ def test_idempotent_ingestion(tmp_path):
     assert merged == archive
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"title": "new title"},
+        {"body": "new body"},
+        {"title": "a body", "body": "a title"},  # the text moved between the two
+    ],
+)
+def test_a_review_replaced_with_another_text_loses_its_score(change):
+    # a score is of its review's title and body: a new text needs a new score
+    archive = Archive()
+    archive.add_app(make_app("app1"))
+    for review_id in ("r1", "r2", "r3"):
+        archive.add_review(make_review("app1", review_id))
+        archive.set_score("app1", review_id, SentimentScore(4, -1))
+    archive.add_review(make_review("app1", "r1")._replace(**change))
+    archive.add_review(make_review("app1", "r2"))  # the same review again
+    other_fields = {"rating": 1, "author": "x", "helpful_votes": 7, "raw": {"k": 1}}
+    archive.add_review(make_review("app1", "r3")._replace(**other_fields))
+    assert archive.scores == {("app1", k): SentimentScore(4, -1) for k in ("r2", "r3")}
+    assert archive.reviews[("app1", "r1")] == make_review("app1", "r1")._replace(**change)
+
+
+def test_merge_keeps_a_score_only_for_the_text_it_scored():
+    archive = Archive()
+    archive.add_app(make_app("app1"))
+    for review_id in ("r1", "r2", "r3"):
+        archive.add_review(make_review("app1", review_id, title="love it", body="great app"))
+        archive.set_score("app1", review_id, SentimentScore(4, -1))
+    other = Archive()
+    for review_id in ("r1", "r3"):  # both edited, only r3 scored again
+        other.add_review(make_review("app1", review_id, 1, title="hate it", body="awful"))
+    other.add_review(make_review("app1", "r2", 1, title="love it", body="great app"))
+    other.set_score("app1", "r3", SentimentScore(1, -5))
+    archive.merge(other)
+    assert archive.reviews == other.reviews
+    assert archive.scores == {
+        ("app1", "r2"): SentimentScore(4, -1),
+        ("app1", "r3"): SentimentScore(1, -5),
+    }
+    with pytest.raises(ArchiveError, match="^1 reviews have no score; run score first$"):
+        archive.scored_view()
+
+
 def test_archive_line_keys_per_kind(tmp_path):
     archive = Archive()
-    archive.add_app(dataclasses.replace(make_app("app1"), raw_details=MappingProxyType({})))
+    archive.add_app(make_app("app1")._replace(raw_details=MappingProxyType({})))
     archive.add_review(make_review("app1", "r1"))
     archive.add_release(Release("app1", "1.0", dt.date(2016, 1, 4)))
     archive.set_score("app1", "r1", SentimentScore(3, -4))
@@ -527,18 +570,21 @@ class TextSubclass(str):
     """A str subclass: JSON writes its text, but the writer's fast path takes only str."""
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
 class TaggedReview(Review):
-    """A review with one field more, which its archive line holds too."""
+    """A review that names one field more, which its archive line holds too:
+    a NamedTuple subclass cannot add a field, so the tag is a class value."""
 
-    tag: str = "t"
+    __slots__ = ()
+    _fields = (*Review._fields, "tag")
+    tag = "t"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
 class TaggedScore(SentimentScore):
-    """A score with one field more, which its archive line holds too."""
+    """A score that names one field more, which its archive line holds too."""
 
-    tag: str = "t"
+    __slots__ = ()
+    _fields = (*SentimentScore._fields, "tag")
+    tag = "t"
 
 
 WRITER_TEXT = st.one_of(
@@ -639,7 +685,7 @@ def writer_archives(draw) -> Archive:
             raw=draw(RAW),
         )
         if odd[i] is not None:
-            review = dataclasses.replace(review, **dict([odd[i]]))
+            review = review._replace(**dict([odd[i]]))
         archive.add_review(review)
         if draw(st.integers(0, 9)):  # the odd review stays unscored
             archive.set_score(review.app_id, review.review_id, draw(st.sampled_from(scores)))
@@ -674,7 +720,7 @@ def _one_review(score: SentimentScore | None = SentimentScore(3, -2), **fields) 
     ``score`` is None."""
     archive = Archive()
     archive.add_app(make_app("app1"))
-    review = dataclasses.replace(make_review("app1", "r1"), **fields)
+    review = make_review("app1", "r1")._replace(**fields)
     archive.add_review(review)
     if score is not None:
         archive.set_score(review.app_id, review.review_id, score)
