@@ -353,6 +353,56 @@ def _add_window_flags(parser) -> None:
     )
 
 
+def _add_ingest_flags(parser) -> None:
+    _add_archive_flag(parser)
+    parser.add_argument("--app-id", action="append", default=[], help="app id to fetch")
+    parser.add_argument("--import-archive", help="merge an existing archive file")
+    parser.add_argument("--releases", help="release CSV (app_id,version,date,notes)")
+    parser.add_argument("--base-url", help=f"store endpoint (env {ENV_BASE_URL})")
+    parser.add_argument(
+        "--rate-limit",
+        type=float,
+        help=f"max requests per second (env {ENV_RATE_LIMIT}, default 1)",
+    )
+    parser.add_argument(
+        "--since", type=_parse_date, metavar="DATE", help="skip reviews older than this"
+    )
+
+
+def _add_score_flags(parser) -> None:
+    _add_archive_flag(parser)
+    _add_lexicon_flags(parser)
+
+
+def _add_summarize_flags(parser) -> None:
+    _add_archive_flag(parser)
+    _add_out_flag(parser)
+
+
+def _add_correlate_flags(parser) -> None:
+    _add_archive_flag(parser)
+    parser.add_argument("--target", choices=["rating", "price"], required=True)
+    parser.add_argument(
+        "--exclude-neutral",
+        action="store_true",
+        help="drop neutral (0) sentiments from the pairs",
+    )
+    _add_out_flag(parser)
+
+
+def _add_topics_flags(parser) -> None:
+    parser.add_argument("--labeled", required=True, help="CSV id,topic,title,body")
+    _add_lexicon_flags(parser)
+    _add_out_flag(parser)
+
+
+def _add_timeline_flags(parser) -> None:
+    _add_archive_flag(parser)
+    parser.add_argument("--app-id", required=True)
+    _add_window_flags(parser)
+    _add_out_flag(parser)
+
+
 def _add_pattern_flags(parser) -> None:
     from . import temporal
 
@@ -376,7 +426,8 @@ def _add_pattern_flags(parser) -> None:
 
 class _CommandParser(argparse.ArgumentParser):
     """A command's parser. ``late(parser)`` adds its flags when the command
-    is parsed, so that building the parser loads none of its modules."""
+    is parsed, so that building the parser adds no flags and loads none of
+    the command's modules."""
 
     def __init__(self, *args, late=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -389,68 +440,42 @@ class _CommandParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
+# each command: its name, its help line, what adds its flags, what runs it
+_COMMANDS = (
+    ("ingest", "fetch or import apps, reviews, and releases", _add_ingest_flags, cmd_ingest),
+    ("score", "attach dual sentiment scores to all reviews", _add_score_flags, cmd_score),
+    ("summarize", "per-category summary table CSV", _add_summarize_flags, cmd_summarize),
+    (
+        "correlate",
+        "sentiment correlation with rating or price",
+        _add_correlate_flags,
+        cmd_correlate,
+    ),
+    (
+        "topics",
+        "dispersion per review topic from a labeled CSV",
+        _add_topics_flags,
+        cmd_topics,
+    ),
+    ("timeline", "weekly series plot data for one app", _add_timeline_flags, cmd_timeline),
+    (
+        "patterns",
+        "emotion pattern labels per qualifying app",
+        _add_pattern_flags,
+        cmd_patterns,
+    ),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; a command's flags are added only when it is parsed."""
     parser = argparse.ArgumentParser(
         prog="reviewsent",
         description="Sentiment scoring and analysis of app store reviews.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-
-    p = sub.add_parser("ingest", help="fetch or import apps, reviews, and releases")
-    _add_archive_flag(p)
-    p.add_argument("--app-id", action="append", default=[], help="app id to fetch")
-    p.add_argument("--import-archive", help="merge an existing archive file")
-    p.add_argument("--releases", help="release CSV (app_id,version,date,notes)")
-    p.add_argument("--base-url", help=f"store endpoint (env {ENV_BASE_URL})")
-    p.add_argument(
-        "--rate-limit",
-        type=float,
-        help=f"max requests per second (env {ENV_RATE_LIMIT}, default 1)",
-    )
-    p.add_argument(
-        "--since", type=_parse_date, metavar="DATE", help="skip reviews older than this"
-    )
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("score", help="attach dual sentiment scores to all reviews")
-    _add_archive_flag(p)
-    _add_lexicon_flags(p)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("summarize", help="per-category summary table CSV")
-    _add_archive_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_summarize)
-
-    p = sub.add_parser("correlate", help="sentiment correlation with rating or price")
-    _add_archive_flag(p)
-    p.add_argument("--target", choices=["rating", "price"], required=True)
-    p.add_argument(
-        "--exclude-neutral",
-        action="store_true",
-        help="drop neutral (0) sentiments from the pairs",
-    )
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("topics", help="dispersion per review topic from a labeled CSV")
-    p.add_argument("--labeled", required=True, help="CSV id,topic,title,body")
-    _add_lexicon_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_topics)
-
-    p = sub.add_parser("timeline", help="weekly series plot data for one app")
-    _add_archive_flag(p)
-    p.add_argument("--app-id", required=True)
-    _add_window_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_timeline)
-
-    p = sub.add_parser(
-        "patterns", help="emotion pattern labels per qualifying app", late=_add_pattern_flags
-    )
-    p.set_defaults(func=cmd_patterns)
-
+    for name, summary, add_flags, func in _COMMANDS:
+        sub.add_parser(name, help=summary, late=add_flags).set_defaults(func=func)
     return parser
 
 

@@ -20,13 +20,18 @@ between them into whitespace chunks, and each chunk maps to the
 punctuation. That mapping is remembered per lexicon in a memo of at
 most ``CHUNK_MEMO_LIMIT`` chunks. A chunk the memo lacks holds its
 token's place until the pass ends; then the text's unseen words are
-normalized together, joined by "\n", looked up and remembered.
+normalized together, joined by "\n", and intersected with the lexicon's
+vocabulary in one set operation. Most are in no dictionary and are
+remembered together as one shared miss; only the rest are looked up
+one by one.
 
 ``score_reviews`` scores a batch. When its text is long enough to pay
 for starting workers, and the process may fork safely, it cuts the
-batch into one contiguous slice per CPU the process may use: forked
-workers score every slice but the first, which the calling process
-scores itself.
+batch into one contiguous slice per CPU the process may use. Workers
+made by a bare ``os.fork`` score every slice but the first, which the
+calling process scores itself, and send their scores back through a
+pipe, two bytes per review. A worker starts on its slice about 4 ms
+into the call, since it imports nothing.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ import re
 import sys
 import threading
 import unicodedata
+from array import array
 from bisect import bisect_left
-from itertools import accumulate, pairwise
-from typing import TYPE_CHECKING, Sequence
+from itertools import accumulate, chain, compress, pairwise
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 from .combine import SentimentScore
 from .emojis import EmojiLexicon, substitute_emojis
@@ -55,21 +61,23 @@ BOOSTER_WINDOW = 2
 CHUNK_MEMO_LIMIT = 1 << 14
 
 # Review text (title + body characters) each process must get before
-# ``score_reviews`` splits a batch: worker start-up times scorer
-# throughput. A forked worker starts on its slice 0.020-0.029 s into the
-# call (median 0.024 s). In that time the scorer, emoji substitution
-# included, reads about 0.25 M characters of long reviews with rare words
-# (10.4 M chars/s, score_long_tail) or 0.45 M of short, repetitive ones
-# (18.3 M chars/s, score_pipeline); 2-vCPU VM, Python 3.11.7
-# (BENCH_20.json). score_pipeline (about 1.44 M characters) stays in one
-# process: a forced split takes 0.074 s against 0.079 s serial, inside
-# the spread of both; score_long_tail (about 3.19 M) splits in two,
-# 0.177 s against 0.308 s serial.
+# ``score_reviews`` splits a batch. A forked worker starts on its slice
+# 2.8-4.5 ms into the call (median 4.0 ms, score_long_tail), in which the
+# scorer reads only 15-40 k characters (4.5-10 M chars/s, emoji
+# substitution included; 2-vCPU VM, Python 3.11.7), so start-up alone
+# would allow a far lower threshold. It stays at 1 M, which keeps
+# score_pipeline (about 1.44 M characters of short, repetitive reviews)
+# in one process, until paired benchmark runs show that a lower one pays
+# there: a forced split of it won 9 of 12 fresh ``score`` steps, median
+# 0.53 s against 0.67 s, on a noisy host (BENCH_27.json).
+# score_long_tail (about 3.19 M) splits in two.
 MIN_CHARS_PER_PROCESS = 1_000_000
 
 _REPEATED_LETTERS = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 _RUNS = re.compile(r"(.)\1\1+")
 _UNSEEN = object()
+# the memo entry of a word in no dictionary
+_MISS = (0, None)
 
 
 def _collapse_run(match: re.Match) -> str:
@@ -150,16 +158,26 @@ def score_text(lexicon: Lexicon, text: str) -> SentimentScore:
                 scores.append(score)
 
     if words:
-        terms, slang, booster_terms = lexicon.sentiment_terms, lexicon.slang, lexicon.boosters
-        for slot, chunk, term in zip(slots, chunks, _normalize("\n".join(words)).split("\n")):
-            score = terms.get(slang.get(term, term), 0)
-            boost = booster_terms.get(term)
-            if len(memo) >= CHUNK_MEMO_LIMIT:
-                memo.clear()
-            memo[chunk] = score, boost
-            scores[slot] = score
-            if boost is not None:
-                boosters.append((slot, boost))
+        # most unseen words are in no dictionary: one set intersection finds
+        # the few that are, and every other chunk maps to the shared miss
+        terms = _normalize("\n".join(words)).split("\n")
+        known = lexicon._vocabulary.intersection(terms)
+        fresh = dict.fromkeys(chunks, _MISS)
+        if known:
+            sentiment, slang = lexicon.sentiment_terms, lexicon.slang
+            booster_terms = lexicon.boosters
+            for i in compress(range(len(terms)), map(known.__contains__, terms)):
+                term, slot = terms[i], slots[i]
+                score = sentiment.get(slang.get(term, term), 0)
+                boost = booster_terms.get(term)
+                fresh[chunks[i]] = score, boost
+                scores[slot] = score
+                if boost is not None:
+                    boosters.append((slot, boost))
+        if len(memo) + len(fresh) > CHUNK_MEMO_LIMIT:
+            memo.clear()
+        if len(fresh) <= CHUNK_MEMO_LIMIT:
+            memo.update(fresh)
 
     last = len(scores) - 1
     boosts: dict[int, int] = {}
@@ -215,14 +233,14 @@ def score_reviews(
     characters of title and body per process, the reviews are cut into
     one contiguous slice per process of about equal characters. Forked
     workers inherit the lexicons and the reviews and score every slice
-    but the first; this process scores the first, then collects theirs.
-    It forks only on Linux and only while this process runs a single
-    thread, since forking a process that runs threads is unsafe;
+    but the first; this process scores the first, then reads theirs from
+    a pipe each. It forks only on Linux and only while this process runs
+    a single thread, since forking a process that runs threads is unsafe;
     otherwise it scores the batch here. The workers are gone when the
-    call returns. A worker's exception is raised here with its own type;
-    a worker that ends abruptly (killed, out of memory, or failed to
-    start) raises ``ChildProcessError`` once this process has scored its
-    own slice.
+    call returns. A worker's exception is raised here with its own type,
+    chained to the worker's traceback; a worker that ends abruptly
+    (killed, out of memory, or failed to start) raises
+    ``ChildProcessError`` once this process has scored its own slice.
     """
     sizes = [len(review.title) + len(review.body) for review in reviews]
     processes = min(usable_cpus(), sum(sizes) // MIN_CHARS_PER_PROCESS)
@@ -230,31 +248,24 @@ def score_reviews(
     if len(slices) < 2 or sys.platform != "linux" or threading.active_count() > 1:
         return [score_review(lexicon, review, emoji_lexicon) for review in reviews]
 
-    # imported here: a serial call should not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(
-        len(slices) - 1,
-        # fork shares the lexicons and reviews without pickling them
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(lexicon, reviews, emoji_lexicon),
-    )
+    workers: list[tuple[int, BinaryIO]] = []  # pid and read end of its pipe
     try:
-        handed = [pool.submit(_score_slice, lo, hi) for lo, hi in slices[1:]]
+        for lo, hi in slices[1:]:
+            workers.append(_fork_worker(lexicon, reviews[lo:hi], emoji_lexicon))
         lo, hi = slices[0]
         scores = [score_review(lexicon, review, emoji_lexicon) for review in reviews[lo:hi]]
-        for future in handed:
-            scores += future.result()
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(
-            "a scoring worker process ended abruptly (killed, out of memory, or failed"
-            " to start); no score was kept"
-        ) from exc
+        for (lo, hi), (_, pipe) in zip(slices[1:], workers):
+            scores += _received_scores(pipe.readall(), hi - lo)
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid, _ in workers:
+            os.kill(pid, SIGKILL)  # one that has exited stays a zombie until reaped
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
     return scores
 
 
@@ -267,19 +278,86 @@ def _slice_bounds(sizes: list[int], parts: int) -> list[int]:
     return [0, *sorted(cuts - {len(sizes)}), len(sizes)]
 
 
-# a forked worker's lexicons and reviews, set once by ``_start_worker``
-_worker_state: tuple[Lexicon, Sequence["Review"], EmojiLexicon | None] | None = None
+_WORKER_ENDED = (
+    "a scoring worker process ended abruptly (killed, out of memory, or failed to start);"
+    " no score was kept"
+)
 
 
-def _start_worker(
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a scoring worker."""
+
+
+def _fork_worker(
     lexicon: Lexicon, reviews: Sequence["Review"], emoji_lexicon: EmojiLexicon | None
-) -> None:
-    """Pool initializer of ``score_reviews``: keep what the fork inherited."""
-    global _worker_state
-    _worker_state = lexicon, reviews, emoji_lexicon
+) -> tuple[int, BinaryIO]:
+    """Fork a worker that scores ``reviews``: its pid, and the read end of
+    the pipe that carries its ``_worker_payload``."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the worker, which never returns
+        try:
+            os.close(read_end)
+            payload = memoryview(_worker_payload(lexicon, reviews, emoji_lexicon))
+            while payload:
+                payload = payload[os.write(write_end, payload) :]
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, open(read_end, "rb", buffering=0)
 
 
-def _score_slice(lo: int, hi: int) -> list[SentimentScore]:
-    """Worker side of ``score_reviews``: the scores of ``reviews[lo:hi]``."""
-    lexicon, reviews, emoji_lexicon = _worker_state
-    return [score_review(lexicon, review, emoji_lexicon) for review in reviews[lo:hi]]
+def _worker_payload(
+    lexicon: Lexicon, reviews: Sequence["Review"], emoji_lexicon: EmojiLexicon | None
+) -> bytes:
+    """What a worker sends: b"s" and its scores as (positive, negative)
+    bytes, or b"e" and its pickled exception with its traceback text."""
+    try:
+        scores = _score_slice(lexicon, reviews, emoji_lexicon)
+        return b"s" + array("b", chain.from_iterable(scores)).tobytes()
+    except BaseException as exc:
+        import pickle
+        import traceback
+
+        text = "".join(traceback.format_exception(exc))
+        try:
+            sent = pickle.dumps((exc, text))
+            pickle.loads(sent)  # some exceptions pickle but do not unpickle
+        except Exception as error:
+            stand_in = ChildProcessError(
+                f"a scoring worker raised {type(exc).__qualname__}, which could not be"
+                f" sent back: {error}"
+            )
+            sent = pickle.dumps((stand_in, text))
+        return b"e" + sent
+
+
+def _received_scores(payload: bytes, count: int) -> list[SentimentScore]:
+    """The ``count`` scores in a worker's payload, each distinct pair built
+    once; a worker's exception is raised here."""
+    if payload[:1] == b"e":
+        import pickle
+
+        try:
+            exc, text = pickle.loads(payload[1:])  # bytes a worker of this call wrote
+        except Exception:  # cut short: the worker died while sending
+            raise ChildProcessError(_WORKER_ENDED) from None
+        raise exc from _WorkerTraceback(text)
+    if payload[:1] != b"s" or len(payload) != 1 + 2 * count:
+        raise ChildProcessError(_WORKER_ENDED)
+    values = array("b", payload[1:])
+    pairs = list(zip(values[::2], values[1::2]))
+    made = {pair: SentimentScore(*pair) for pair in set(pairs)}
+    return [made[pair] for pair in pairs]
+
+
+def _score_slice(
+    lexicon: Lexicon, reviews: Sequence["Review"], emoji_lexicon: EmojiLexicon | None
+) -> list[SentimentScore]:
+    """Worker side of ``score_reviews``: the scores of ``reviews``."""
+    return [score_review(lexicon, review, emoji_lexicon) for review in reviews]

@@ -11,9 +11,10 @@ Word terms (sentiment, boosters, slang) are lowercased on load because
 the scorer looks tokens up by their lowercased normalized form.
 Emoticons are kept verbatim and matched on the raw surface.
 
-The scorer keeps a per-lexicon cache (``Lexicon._compiled``) that is
-built on the first ``score_text`` call, never at load, and assumes the
-dictionaries are not mutated afterwards.
+The scorer keeps per-lexicon caches (``Lexicon._compiled`` and
+``Lexicon._vocabulary``) that are built on the first ``score_text``
+call, never at load, and assume the dictionaries are not mutated
+afterwards.
 """
 
 from __future__ import annotations
@@ -109,6 +110,12 @@ class Lexicon(Checked, _Lexicon):
     @cached_property
     def _compiled(self) -> Compiled:
         return Compiled(emoticon_pattern(self.emoticons), {})
+
+    @cached_property
+    def _vocabulary(self) -> frozenset[str]:
+        """Every word the scorer can give a score or a boost: the
+        sentiment terms, the slang and the boosters."""
+        return frozenset().union(self.sentiment_terms, self.slang, self.boosters)
 
 
 def _check_score(what: str, score: int) -> None:

@@ -10,7 +10,6 @@ import functools
 import io
 import json
 import logging
-import multiprocessing
 import os
 import random
 import re
@@ -214,21 +213,32 @@ def unscored_text_archive(
 # --- scoring across processes -------------------------------------------------
 
 
-def force_split(monkeypatch, cpus: int) -> list[str]:
+def force_split(monkeypatch, cpus: int) -> list[int]:
     """Make ``engine.score_reviews`` split any batch across up to ``cpus``
     processes, as far as ``engine._slice_bounds`` cuts it into slices.
-    The returned list records the start method of every pool it creates."""
-    methods: list[str] = []
-    get_context = multiprocessing.get_context
+    The returned list records the pid of every worker it forks."""
+    pids: list[int] = []
+    fork = os.fork
 
-    def recording(method=None):
-        methods.append(method)
-        return get_context(method)
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    monkeypatch.setattr(os, "fork", recording)
     monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(engine, "MIN_CHARS_PER_PROCESS", 1)
-    return methods
+    return pids
+
+
+def children_left() -> bool:
+    """Whether this process has a child it has not reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
 
 
 class UnformattableTitle(str):
@@ -240,14 +250,17 @@ class UnformattableTitle(str):
 
 
 class KillingTitle(str):
-    """A title that SIGKILLs the worker process that formats it, as the
-    OOM killer would. In the calling process it takes 0.1 s to format, so
-    a worker starts before the caller has scored every review."""
+    """A title that SIGKILLs the process that formats it when that is not
+    the process that made it (a forked worker), as the OOM killer would."""
+
+    def __new__(cls, value):
+        title = super().__new__(cls, value)
+        title.maker = os.getpid()
+        return title
 
     def __format__(self, spec):
-        if multiprocessing.parent_process() is not None:
+        if os.getpid() != self.maker:
             os.kill(os.getpid(), signal.SIGKILL)
-        time.sleep(0.1)
         return str(self)
 
 
@@ -261,15 +274,15 @@ def kill_worker(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def start_worker_late(start_worker):
-    """A stand-in for ``engine._start_worker``, the ``start_worker`` given,
-    that starts the worker 1 s late."""
+def late(score_slice, seconds: float):
+    """A stand-in for ``engine._score_slice``, the ``score_slice`` given,
+    that starts scoring ``seconds`` late."""
 
-    def late(*args):
-        time.sleep(1)
-        start_worker(*args)
+    def slow(*args):
+        time.sleep(seconds)
+        return score_slice(*args)
 
-    return late
+    return slow
 
 
 def run_python(script: str, *args, timeout: float = 60) -> subprocess.CompletedProcess:
@@ -450,6 +463,17 @@ def reference_score_text(lexicon: Lexicon, text: str) -> SentimentScore:
         elif score < 0:
             negative = min(negative, max(-5, min(-1, score - boost)))
     return SentimentScore(positive, negative)
+
+
+def reference_memo_entry(lexicon: Lexicon, chunk: str) -> tuple[int, int | None] | None:
+    """What the scorer may remember for a whitespace chunk that holds no
+    emoticon: None when it is all punctuation, else the (score, boost) of
+    the one word it holds."""
+    words = [normalized for kind, _, normalized in _reference_tokens(chunk, {}) if kind == "word"]
+    if not words:
+        return None
+    (term,) = words
+    return lexicon.sentiment_terms.get(lexicon.slang.get(term, term), 0), lexicon.boosters.get(term)
 
 
 def reference_substitute_emojis(text: str, lexicon: EmojiLexicon) -> str:

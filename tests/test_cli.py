@@ -1,6 +1,6 @@
 """Command-line pipeline: wiring, determinism, and failure modes."""
 
-import multiprocessing
+import json
 import os
 import random
 import shutil
@@ -22,6 +22,7 @@ from helpers import (
     BYTE_EDITS,
     SIDECAR_DAMAGE,
     add_scored_review,
+    children_left,
     feed_item,
     force_split,
     lookup_payload,
@@ -149,20 +150,35 @@ from reviewsent.cli import main
 rc = main(sys.argv[2:])
 print(rc, *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
 """
+# the same, with ``score_reviews`` splitting every batch it can in two;
+# prints the exit code, the workers forked, then the modules
+SPLIT_COMMAND_IMPORTS_SCRIPT = """
+import os, sys
+from reviewsent import engine
+from reviewsent.cli import main
+engine.usable_cpus = lambda: 2
+engine.MIN_CHARS_PER_PROCESS = 1
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+rc = main(sys.argv[2:])
+print(rc, len(forks), *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
+"""
 REPORT_MODULES = ("reviewsent.analytics", "reviewsent.temporal", "reviewsent.client")
 # slow to import: dataclasses loads inspect (and with it ast, dis and
 # tokenize); only the client, which ``ingest --app-id`` alone loads, may
 # need it. statistics only where a report computes with it
 SLOW_MODULES = ("dataclasses", "inspect", "statistics")
+# a scoring worker is a bare fork: no pool, no executor
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 
-def _modules_loaded(argv: list) -> list[str]:
+def _modules_loaded(argv: list, script: str = COMMAND_IMPORTS_SCRIPT) -> list[str]:
     """The exit code of ``argv`` in a fresh interpreter, then the report,
-    client and slow modules it loaded."""
+    client, slow and pool modules it loaded."""
     src = Path(__file__).resolve().parent.parent / "src"
-    watched = ",".join(REPORT_MODULES + SLOW_MODULES)
+    watched = ",".join(REPORT_MODULES + SLOW_MODULES + POOL_MODULES)
     result = subprocess.run(
-        [sys.executable, "-c", COMMAND_IMPORTS_SCRIPT, watched, *map(str, argv)],
+        [sys.executable, "-c", script, watched, *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
@@ -175,7 +191,9 @@ def test_each_command_loads_only_its_modules(tmp_path, fixture_archive):
     imported = tmp_path / "imported.jsonl"
     ingest = ["ingest", "--archive", imported, "--import-archive", fixture_archive]
     assert _modules_loaded(ingest) == ["0"]
-    assert _modules_loaded(["score", "--no-emoji", "--archive", fixture_archive]) == ["0"]
+    score = ["score", "--no-emoji", "--archive", fixture_archive]
+    assert _modules_loaded(score) == ["0"]
+    assert _modules_loaded(score, SPLIT_COMMAND_IMPORTS_SCRIPT) == ["0", "1"]
     out = ["--out", tmp_path / "out.csv"]
     loaded = _modules_loaded(["summarize", "--archive", fixture_archive, *out])
     assert loaded == ["0", "reviewsent.analytics"]
@@ -566,6 +584,32 @@ def test_score_with_no_emoji_flag(tmp_path, fixture_archive):
     assert load_archive(fixture_archive).scores
 
 
+# --- help and usage errors -------------------------------------------------------
+
+# what ``reviewsent --help``, each ``reviewsent <command> --help`` and one
+# usage error per command print at 80 columns, recorded from the CLI that
+# built every command's parser up front
+USAGE_CASES = json.loads((Path(__file__).parent / "cli_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", USAGE_CASES, ids=[" ".join(case["argv"]) or "(none)" for case in USAGE_CASES]
+)
+def test_help_and_usage_errors_print_the_recorded_text(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(case["argv"]) == case["exit"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+def test_only_the_command_that_runs_gets_its_flags():
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert all(len(command._actions) == 1 for command in commands.values())  # -h alone
+    parser.parse_args(["summarize", "--archive", "a.jsonl"])
+    flags = {name: len(command._actions) for name, command in commands.items()}
+    assert flags == {name: 1 if name != "summarize" else 3 for name in commands}
+
+
 # --- scoring split across processes ----------------------------------------------
 
 
@@ -574,13 +618,13 @@ def test_score_writes_identical_bytes_when_split(tmp_path, fixture_archive, caps
     shutil.copy(fixture_archive, serial)
     assert run(["score", "--archive", serial]) == 0
     expected = capsys.readouterr()
-    pools = force_split(monkeypatch, cpus=2)
+    forks = force_split(monkeypatch, cpus=2)
     assert run(["score", "--archive", fixture_archive]) == 0
-    assert pools == ["fork"]
+    assert len(forks) == 1
     assert capsys.readouterr() == expected
     assert fixture_archive.read_bytes() == serial.read_bytes()
     assert Path(f"{fixture_archive}.view").read_bytes() == Path(f"{serial}.view").read_bytes()
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_topics_writes_identical_bytes_when_split(tmp_path, capsys, monkeypatch):
@@ -588,25 +632,25 @@ def test_topics_writes_identical_bytes_when_split(tmp_path, capsys, monkeypatch)
     labeled.write_text(LABELED, encoding="utf-8")
     assert run(["topics", "--labeled", labeled, "--out", tmp_path / "serial.csv"]) == 0
     expected = capsys.readouterr()
-    pools = force_split(monkeypatch, cpus=2)
+    forks = force_split(monkeypatch, cpus=2)
     assert run(["topics", "--labeled", labeled, "--out", tmp_path / "split.csv"]) == 0
-    assert pools == ["fork"]
+    assert len(forks) == 1
+    assert not children_left()
     assert capsys.readouterr() == expected
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 DYING_WORKER_CLI_SCRIPT = """
-import multiprocessing
 import sys
 
-from helpers import kill_worker
+from helpers import children_left, kill_worker
 from reviewsent import cli, engine
 
 engine.usable_cpus = lambda: 2
 engine.MIN_CHARS_PER_PROCESS = 1
 engine._score_slice = kill_worker
 code = cli.main(sys.argv[1:])
-print(f"exit {code}, children left: {len(multiprocessing.active_children())}")
+print(f"exit {code}, children left: {children_left()}")
 """
 
 
@@ -625,7 +669,7 @@ def test_dead_worker_fails_the_command_and_changes_nothing(tmp_path, fixture_arc
     }[command]
     # in a child interpreter, so that a hang fails the test as a timeout
     result = run_python(DYING_WORKER_CLI_SCRIPT, *argv, timeout=60)
-    assert result.stdout == "exit 1, children left: 0\n"
+    assert result.stdout == "exit 1, children left: False\n"
     assert result.stderr.splitlines()[-1:] == [
         "error: a scoring worker process ended abruptly (killed, out of memory, or failed to"
         " start); no score was kept"

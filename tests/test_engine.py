@@ -1,10 +1,11 @@
 """Tokenization rules and dual-polarity scoring."""
 
-import multiprocessing
 import os
 import random
 import threading
+import time
 from itertools import pairwise
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,11 +18,13 @@ from reviewsent.lexicon import Lexicon, load_builtin_lexicon
 
 from helpers import (
     UnformattableTitle,
+    children_left,
     force_split,
+    late,
     make_review,
+    reference_memo_entry,
     reference_score_text,
     run_python,
-    start_worker_late,
 )
 
 WORKED_LEXICON = Lexicon(
@@ -307,6 +310,22 @@ def test_chunk_memo_stays_within_limit(monkeypatch):
         assert len(lexicon._compiled.chunks) <= 8
 
 
+@settings(max_examples=300)
+@given(st.lists(PIECED_TEXT, min_size=1, max_size=6))
+def test_memo_entries_equal_each_chunks_own_resolution(texts):
+    # a memo of four chunks is cleared often, so texts meet it empty,
+    # partly filled and full; every chunk in it must resolve as it would
+    # alone, a lexicon word as much as a miss or a punctuation run
+    lexicon = PROPERTY_LEXICON._replace()  # a fresh, empty memo
+    with mock.patch.object(engine, "CHUNK_MEMO_LIMIT", 4):
+        for text in texts:
+            assert score_text(lexicon, text) == reference_score_text(lexicon, text)
+            memo = lexicon._compiled.chunks
+            assert len(memo) <= 4
+            for chunk, entry in memo.items():
+                assert entry == reference_memo_entry(lexicon, chunk), chunk
+
+
 # Pieces whose lowercasing or run collapse depends on their neighbours: the
 # scorer normalizes the unseen words of a text joined by "\n" in one go.
 EDGE_PIECES = [
@@ -402,17 +421,17 @@ def test_split_scores_equal_serial_scores_on_uneven_reviews(monkeypatch):
     serial = [score_review(PROPERTY_LEXICON, review, EMOJI) for review in reviews]
     bounds = engine._slice_bounds([len(r.title) + len(r.body) for r in reviews], 3)
     assert len(bounds) == 4  # three slices, so two workers
-    pools = force_split(monkeypatch, cpus=3)
+    forks = force_split(monkeypatch, cpus=3)
     scored_here = _scored_here(monkeypatch)
     assert score_reviews(PROPERTY_LEXICON, reviews, EMOJI) == serial
-    assert pools == ["fork"]
+    assert len(forks) == 2
     # this process scored the first slice, the workers the others
     assert scored_here == reviews[: bounds[1]]
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
-def _no_pool(method=None):
-    raise AssertionError("score_reviews created a pool")
+def _no_fork():
+    raise AssertionError("score_reviews forked a worker")
 
 
 @pytest.mark.parametrize("cpus, extra_chars", [(1, 0), (4, 1)], ids=["one_cpu", "short_text"])
@@ -422,7 +441,7 @@ def test_no_pool_on_one_cpu_or_below_the_threshold(monkeypatch, cpus, extra_char
     # one character short of two processes' worth of text, or one CPU
     monkeypatch.setattr(engine, "MIN_CHARS_PER_PROCESS", chars // 2 + extra_chars or 1)
     monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     expected = [score_review(PROPERTY_LEXICON, review, None) for review in reviews]
     assert score_reviews(PROPERTY_LEXICON, reviews) == expected
 
@@ -431,7 +450,7 @@ def test_no_pool_while_another_thread_runs(monkeypatch):
     reviews = _uneven_reviews()
     serial = [score_review(PROPERTY_LEXICON, review, EMOJI) for review in reviews]
     force_split(monkeypatch, cpus=2)
-    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -446,9 +465,9 @@ def test_no_pool_while_another_thread_runs(monkeypatch):
 def test_no_pool_for_a_batch_of_one_slice(monkeypatch):
     # two processes' worth of text, but one review cannot be cut in two
     review = make_review("app1", "only", body="good " * 100)
-    pools = force_split(monkeypatch, cpus=2)
+    forks = force_split(monkeypatch, cpus=2)
     assert score_reviews(PROPERTY_LEXICON, [review]) == [score_review(PROPERTY_LEXICON, review)]
-    assert pools == []
+    assert forks == []
 
 
 @pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "this_process"])
@@ -458,36 +477,56 @@ def test_scoring_error_reaches_caller_with_its_type(monkeypatch, in_worker):
     other = make_review("app1", "other", body="x")
     # two slices: the first two reviews, scored here, and the last one
     reviews = [other, middle, bad] if in_worker else [bad, middle, other]
-    pools = force_split(monkeypatch, cpus=2)
+    forks = force_split(monkeypatch, cpus=2)
     with pytest.raises(LookupError, match="cannot format 'bad'") as raised:
         score_reviews(PROPERTY_LEXICON, reviews)
-    # the pool chains a worker's exception to the worker's traceback
-    assert ("_score_slice" in str(raised.value.__cause__)) == in_worker
-    assert pools == ["fork"]
-    assert multiprocessing.active_children() == []
+    if in_worker:
+        # chained to the worker's traceback, which names where it was raised
+        cause = str(raised.value.__cause__)
+        assert type(raised.value.__cause__).__name__ == "_WorkerTraceback"
+        assert "in _score_slice" in cause and "in __format__" in cause
+        assert cause.endswith("LookupError: cannot format 'bad'\n")
+    else:
+        assert raised.value.__cause__ is None
+    assert len(forks) == 1
+    assert not children_left()
+
+
+def test_error_in_this_process_kills_and_reaps_the_worker(monkeypatch):
+    bad = make_review("app1", "bad", title=UnformattableTitle("bad"), body="x")
+    middle = make_review("app1", "middle", body="sad " * 3000)
+    # two slices: the first two reviews, scored here, and the last one
+    reviews = [bad, middle, make_review("app1", "other", body="x")]
+    forks = force_split(monkeypatch, cpus=2)
+    # a worker that would score for a minute unless killed
+    monkeypatch.setattr(engine, "_score_slice", late(engine._score_slice, 60))
+    started = time.monotonic()
+    with pytest.raises(LookupError, match="cannot format 'bad'"):
+        score_reviews(PROPERTY_LEXICON, reviews)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1
+    assert not children_left()
 
 
 WORKER_ENDED = (
     "a scoring worker process ended abruptly (killed, out of memory, or failed to start);"
     " no score was kept"
 )
+# a child interpreter whose third review kills the worker that scores it,
+# once the worker has scored the review before it
 DYING_WORKER_SCRIPT = """
-import multiprocessing
-
-from helpers import KillingTitle, make_review
+from helpers import KillingTitle, children_left, make_review
 from reviewsent import engine
 from reviewsent.lexicon import load_builtin_lexicon
 
 engine.usable_cpus = lambda: 2
 engine.MIN_CHARS_PER_PROCESS = 1
-reviews = [
-    make_review("app1", f"r{i}", title=KillingTitle("t"), body="good " * 1000)
-    for i in range(4)
-]
+titles = ["t", "t", "t", KillingTitle("t")]
+reviews = [make_review("app1", f"r{i}", title=t, body="good " * 1000) for i, t in enumerate(titles)]
 try:
     engine.score_reviews(load_builtin_lexicon(), reviews)
 except ChildProcessError as exc:
-    print(f"{exc}; children left: {len(multiprocessing.active_children())}")
+    print(f"{exc}; children left: {children_left()}")
 """
 
 
@@ -495,20 +534,52 @@ def test_dead_worker_raises_instead_of_hanging():
     # in a child interpreter, so that a hang fails the test as a timeout
     result = run_python(DYING_WORKER_SCRIPT, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == WORKER_ENDED + "; children left: 0\n"
+    assert result.stdout == WORKER_ENDED + "; children left: False\n"
+
+
+UNPICKLABLE_ERROR_SCRIPT = """
+from helpers import children_left, make_review
+from reviewsent import engine
+from reviewsent.lexicon import load_builtin_lexicon
+
+
+def unpicklable(*args):
+    raise LookupError(lambda: None)  # a function defined in place does not pickle
+
+
+engine.usable_cpus = lambda: 2
+engine.MIN_CHARS_PER_PROCESS = 1
+engine._score_slice = unpicklable
+reviews = [make_review("app1", f"r{i}", body="good " * 1000) for i in range(4)]
+try:
+    engine.score_reviews(load_builtin_lexicon(), reviews)
+except ChildProcessError as exc:
+    print(exc)
+    print("traceback sent:", "in unpicklable" in str(exc.__cause__))
+    print("children left:", children_left())
+"""
+
+
+def test_unpicklable_worker_error_raises_instead_of_hanging():
+    # in a child interpreter, so that a hang fails the test as a timeout
+    result = run_python(UNPICKLABLE_ERROR_SCRIPT, timeout=60)
+    assert result.returncode == 0, result.stderr
+    message, *rest = result.stdout.splitlines()
+    assert message.startswith("a scoring worker raised LookupError, which could not be sent back:")
+    assert rest == ["traceback sent: True", "children left: False"]
 
 
 def test_late_worker_still_yields_serial_scores(monkeypatch):
     reviews = [make_review("app1", f"r{i:02d}", body="good day") for i in range(12)]
     serial = [score_review(PROPERTY_LEXICON, review) for review in reviews]
-    pools = force_split(monkeypatch, cpus=2)
-    monkeypatch.setattr(engine, "_start_worker", start_worker_late(engine._start_worker))
+    forks = force_split(monkeypatch, cpus=2)
+    monkeypatch.setattr(engine, "_score_slice", late(engine._score_slice, 1))
     scored_here = _scored_here(monkeypatch)
     assert score_reviews(PROPERTY_LEXICON, reviews) == serial
     # the worker scored its half once it had started; this process, only its own
-    assert pools == ["fork"]
+    assert len(forks) == 1
     assert scored_here == reviews[:6]
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_usable_cpus_follows_affinity_else_cpu_count(monkeypatch):
