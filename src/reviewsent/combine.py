@@ -1,10 +1,10 @@
 """The dual (positive, negative) score and its reduction to one value on
 the -5..+5 scale.
 
-A :class:`SentimentScore` holds a positive strength in [1,5] and a
-negative strength in [-5,-1]; building one outside those raises. This
-module imports only the record base from the package, so the store and
-the reports read scores without loading the scorer.
+A :class:`SentimentScore` holds two ``int`` strengths, positive in [1,5]
+and negative in [-5,-1]; building one otherwise raises. This module
+imports only the record base from the package, so the store and the
+reports read scores without loading the scorer.
 
 The positive strength wins when it outweighs the negative one and vice
 versa. Balanced scores are neutral (0) when weak, and unclassifiable
@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .records import Checked
+from .records import Checked, mistyped
 
 POSITIVE_RANGE = (1, 5)
 NEGATIVE_RANGE = (-5, -1)
@@ -41,16 +41,19 @@ class _SentimentScore(NamedTuple):
 
 
 class SentimentScore(Checked, _SentimentScore):
-    """Dual sentiment strengths: positive in [1,5], negative in [-5,-1]."""
+    """Dual sentiment strengths: ints, positive in [1,5], negative in [-5,-1]."""
 
     __slots__ = ()
 
     def __new__(cls, positive, negative):
+        score = tuple.__new__(cls, (positive, negative))
+        if not type(positive) is type(negative) is int:
+            raise ValueError(mistyped("score", score))
         if not POSITIVE_RANGE[0] <= positive <= POSITIVE_RANGE[1]:
             raise ValueError(f"positive strength {positive} outside [1,5]")
         if not NEGATIVE_RANGE[0] <= negative <= NEGATIVE_RANGE[1]:
             raise ValueError(f"negative strength {negative} outside [-5,-1]")
-        return tuple.__new__(cls, (positive, negative))
+        return score
 
 
 def combine(score: SentimentScore) -> int | None:

@@ -77,10 +77,10 @@ class _Lexicon(NamedTuple):
 class Lexicon(Checked, _Lexicon):
     """Immutable dictionaries used by the scorer.
 
-    Sentiment and emoticon scores are integers in [-5,-1] or [1,5];
-    booster values are integers in [-2,2]. A term may not appear in
-    both the sentiment and booster dictionaries. It keeps a ``__dict__``
-    for the scorer's cache.
+    Sentiment and emoticon scores are ints in [-5,-1] or [1,5] and
+    booster values ints in [-2,2], so every score built from them is a
+    ``SentimentScore``. A term may not appear in both the sentiment and
+    booster dictionaries. It keeps a ``__dict__`` for the scorer's cache.
     """
 
     def __new__(
@@ -119,11 +119,15 @@ class Lexicon(Checked, _Lexicon):
 
 
 def _check_score(what: str, score: int) -> None:
+    if type(score) is not int:
+        raise LexiconError(f"{what} has score {score!r}, expected an int")
     if score == 0 or abs(score) > MAX_TERM_SCORE:
         raise LexiconError(f"{what} has score {score}, expected [-5,-1] or [1,5]")
 
 
 def _check_boost(what: str, boost: int) -> None:
+    if type(boost) is not int:
+        raise LexiconError(f"{what} has boost {boost!r}, expected an int")
     if abs(boost) > MAX_BOOST:
         raise LexiconError(f"{what} has boost {boost}, expected [-2,2]")
 

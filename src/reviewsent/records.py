@@ -8,6 +8,8 @@ create than a dataclass, and needs no ``dataclasses`` import, which
 costs each CLI process about 10 ms of start-up.
 """
 
+from typing import get_type_hints
+
 # the default of a mapping field: each record gets a new empty dict, as a
 # NamedTuple default would be one dict shared by every record
 NEW_DICT = object()
@@ -26,3 +28,13 @@ class Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def mistyped(what: str, record: tuple) -> str:
+    """The error text naming the first field of ``record`` whose value's
+    type is not exactly the declared one (a ``bool`` is no ``int`` and a
+    ``datetime`` no ``date``); a field declared as a generic may hold any."""
+    types = get_type_hints(type(record))
+    for name, value in zip(record._fields, record):
+        if isinstance(types[name], type) and type(value) is not types[name]:
+            return f"{what}: {name} must be {types[name].__name__}, not {type(value).__name__}"

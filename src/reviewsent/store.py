@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import IO, Iterator, Mapping, NamedTuple
 
 from .combine import SentimentScore, combine, format_combined, parse_combined
-from .records import NEW_DICT, Checked
+from .records import NEW_DICT, Checked, mistyped
 from .tables import read_rows
 
 log = logging.getLogger(__name__)
@@ -66,17 +66,23 @@ class AppRecord(Checked, _AppRecord):
     def __new__(
         cls, app_id, name, primary_category, price, current_version="", raw_details=NEW_DICT
     ):
+        if raw_details is NEW_DICT:
+            raw_details = {}
+        app = tuple.__new__(
+            cls, (app_id, name, primary_category, price, current_version, raw_details)
+        )
+        if not (
+            type(app_id) is type(name) is type(primary_category) is type(current_version) is str
+            and type(price) is float
+        ):
+            raise ArchiveError(mistyped(f"app {app_id}", app))
         if not app_id:
             raise ArchiveError("app_id must be nonempty")
         if not math.isfinite(price):
             raise ArchiveError(f"app {app_id}: price {price} is not finite")
         if price < 0:
             raise ArchiveError(f"app {app_id}: price {price} < 0")
-        if raw_details is NEW_DICT:
-            raw_details = {}
-        return tuple.__new__(
-            cls, (app_id, name, primary_category, price, current_version, raw_details)
-        )
+        return app
 
     @property
     def is_free(self) -> bool:
@@ -105,18 +111,26 @@ class Review(Checked, _Review):
         cls, review_id, app_id, author, title, body, rating, date,
         helpful_votes=0, app_version="", raw=NEW_DICT,
     ):
+        if raw is NEW_DICT:
+            raw = {}
+        review = tuple.__new__(
+            cls,
+            (review_id, app_id, author, title, body, rating, date, helpful_votes, app_version, raw),
+        )
+        if not (
+            type(review_id) is type(app_id) is type(author) is str
+            and type(title) is type(body) is type(app_version) is str
+            and type(rating) is type(helpful_votes) is int
+            and type(date) is dt.date
+        ):
+            raise ArchiveError(mistyped(f"review {review_id}", review))
         if not review_id or not app_id:
             raise ArchiveError("review_id and app_id must be nonempty")
         if not 1 <= rating <= 5:
             raise ArchiveError(f"review {review_id}: rating {rating} outside [1,5]")
         if helpful_votes < 0:
             raise ArchiveError(f"review {review_id}: helpful_votes {helpful_votes} < 0")
-        if raw is NEW_DICT:
-            raw = {}
-        return tuple.__new__(
-            cls,
-            (review_id, app_id, author, title, body, rating, date, helpful_votes, app_version, raw),
-        )
+        return review
 
     @property
     def text_length(self) -> int:
@@ -135,9 +149,12 @@ class Release(Checked, _Release):
     __slots__ = ()
 
     def __new__(cls, app_id, version, date, notes=""):
+        release = tuple.__new__(cls, (app_id, version, date, notes))
+        if not (type(app_id) is type(version) is type(notes) is str and type(date) is dt.date):
+            raise ArchiveError(mistyped(f"release {app_id} {version}", release))
         if not app_id or not version:
             raise ArchiveError("release app_id and version must be nonempty")
-        return tuple.__new__(cls, (app_id, version, date, notes))
+        return release
 
 
 # the combined column's value for an unclassifiable review, outside -5..5
@@ -217,6 +234,10 @@ class Archive:
     def set_score(self, app_id: str, review_id: str, score: SentimentScore) -> None:
         if (app_id, review_id) not in self.reviews:
             raise ArchiveError(f"no review {review_id!r} for app {app_id!r}")
+        if not isinstance(score, SentimentScore):
+            raise ArchiveError(
+                f"review {review_id!r}: score must be a SentimentScore, not {type(score).__name__}"
+            )
         self.scores[(app_id, review_id)] = score
 
     def merge(self, other: "Archive") -> None:
@@ -242,7 +263,6 @@ class Archive:
         if not scores.keys() >= reviews.keys():
             unscored = len(reviews.keys() - scores.keys())
             raise ArchiveError(f"{unscored} reviews have no score; run score first")
-        # before any column is built, so that no other review's field raises first
         missing_apps = {r.app_id for r in reviews.values()} - self.apps.keys()
         if missing_apps:
             raise ArchiveError(f"reviews reference unknown apps: {sorted(missing_apps)}")
@@ -259,14 +279,11 @@ class Archive:
         starts = [0]
         for app_id in apps:
             starts.append(starts[-1] + per_app[app_id])
-        # built first: a review without a text fails the view before a review
-        # whose date has no ordinal
-        text_length = array("q", [review.text_length for review in ordered])
         return ScoredView(
             array("b", [review.rating for review in ordered]),
             array("i", [review.date.toordinal() for review in ordered]),
             array("b", [codes[id(scores[key])] for key in keys]),
-            text_length,
+            array("q", [review.text_length for review in ordered]),
             apps,
             [self.apps[app_id].primary_category for app_id in apps],
             [self.apps[app_id].price for app_id in apps],
@@ -330,16 +347,6 @@ def _release_from_json(obj: dict) -> Release:
         dt.date.fromisoformat(obj["date"]),
         str(obj.get("notes", "")),
     )
-
-
-def _score_from_json(obj: dict) -> SentimentScore:
-    """The dual score of a score line, checked against its stored combined value."""
-    score = SentimentScore(int(obj["positive"]), int(obj["negative"]))
-    if parse_combined(str(obj["combined"])) != combine(score):
-        raise ArchiveError(
-            f"combined {obj['combined']!r} does not match ({score.positive}, {score.negative})"
-        )
-    return score
 
 
 def lock_path(path: str | Path) -> Path:
@@ -441,40 +448,27 @@ def _encode(obj: object) -> str:
 def _archive_lines(archive: Archive) -> Iterator[str]:
     """The archive's lines in key order: apps, reviews, releases, scores.
 
-    A review or score line whose fields hold exactly their declared types
-    (``str``, ``int`` and not ``bool``, ``date`` and not ``datetime``, a
-    ``dict`` raw payload) comes from one f-string in the encoder's sorted
-    key order; any other line is encoded whole, as are app and release
-    lines.
+    Every review and score line is one f-string in the encoder's sorted
+    key order, since their constructors admit only the declared types; a
+    review's ``raw`` payload and the app and release lines are encoded.
     """
     apps, reviews = archive.apps, archive.reviews
     for app_id in sorted(apps):
         app = apps[app_id]
         yield _encode(_entity_to_json("app", app, is_free=app.is_free)) + "\n"
 
-    quote, date_type = _quote, dt.date
+    quote = _quote
     for key in sorted(reviews):
-        r = reviews[key]
-        if type(r) is Review:
-            # one unpack: reading a NamedTuple's fields by name is slower
-            review_id, app_id, author, title, body, rating, date, votes, version, raw = r
-            if (
-                type(app_id) is type(version) is type(author) is str
-                and type(body) is type(review_id) is type(title) is str
-                and type(rating) is type(votes) is int
-                and type(date) is date_type
-                and type(raw) is dict
-            ):
-                yield (
-                    f'{{"app_id": {quote(app_id)}, "app_version": {quote(version)}, '
-                    f'"author": {quote(author)}, "body": {quote(body)}, '
-                    f'"date": "{date.isoformat()}", "helpful_votes": {votes}, '
-                    f'"kind": "review", "rating": {rating}, '
-                    f'"raw": {_encode(raw) if raw else "{}"}, '
-                    f'"review_id": {quote(review_id)}, "title": {quote(title)}}}\n'
-                )
-                continue
-        yield _encode(_entity_to_json("review", r)) + "\n"
+        # one unpack: reading a NamedTuple's fields by name is slower
+        review_id, app_id, author, title, body, rating, date, votes, version, raw = reviews[key]
+        yield (
+            f'{{"app_id": {quote(app_id)}, "app_version": {quote(version)}, '
+            f'"author": {quote(author)}, "body": {quote(body)}, '
+            f'"date": "{date.isoformat()}", "helpful_votes": {votes}, '
+            f'"kind": "review", "rating": {rating}, '
+            f'"raw": {"{}" if raw == {} else _encode(raw)}, '
+            f'"review_id": {quote(review_id)}, "title": {quote(title)}}}\n'
+        )
 
     for key in sorted(archive.releases):
         yield _encode(_entity_to_json("release", archive.releases[key])) + "\n"
@@ -484,21 +478,11 @@ def _archive_lines(archive: Archive) -> Iterator[str]:
         combined = texts.get(id(score))
         if combined is None:
             combined = texts[id(score)] = format_combined(combine(score))
-        if (
-            type(score) is SentimentScore
-            and type(score.positive) is type(score.negative) is int
-            and type(app_id) is type(review_id) is str
-        ):
-            yield (
-                f'{{"app_id": {quote(app_id)}, "combined": "{combined}", "kind": "score", '
-                f'"negative": {score.negative}, "positive": {score.positive}, '
-                f'"review_id": {quote(review_id)}}}\n'
-            )
-        else:
-            line = _entity_to_json(
-                "score", score, app_id=app_id, review_id=review_id, combined=combined
-            )
-            yield _encode(line) + "\n"
+        yield (
+            f'{{"app_id": {quote(app_id)}, "combined": "{combined}", "kind": "score", '
+            f'"negative": {score.negative}, "positive": {score.positive}, '
+            f'"review_id": {quote(review_id)}}}\n'
+        )
 
 
 def load_archive(path: str | Path) -> Archive:
@@ -604,27 +588,21 @@ def _read_archive(stream: IO[bytes], path: str | Path) -> Archive:
         except (ArchiveError, KeyError, TypeError, ValueError, OverflowError) as exc:
             skips.append((lineno, str(exc) or repr(exc)))
 
-    # each distinct (positive, negative, combined) is checked once; its
-    # score is shared, which an immutable record allows. Exact types only:
-    # True == 1 and hashes alike, but str(True) != str(1).
+    # whether a score line passes depends on its coerced values alone, so
+    # each distinct passing triple is checked once and its score shared. A
+    # missing "combined" keys as "None", which never passes: a line that
+    # fails is checked in full each time, and gives its first reason
     checked: dict[tuple[int, int, str], SentimentScore] = {}
     for lineno, obj in pending_scores:
         try:
-            positive, negative = obj.get("positive"), obj.get("negative")
-            combined = obj.get("combined")
-            app_id, review_id = obj.get("app_id"), obj.get("review_id")
-            if (
-                type(positive) is type(negative) is int
-                and type(combined) is type(app_id) is type(review_id) is str
-            ):
-                triple = (positive, negative, combined)
-                score = checked.get(triple)
-                if score is None:
-                    score = checked[triple] = _score_from_json(obj)
-                key = (app_id, review_id)
-            else:
-                score = _score_from_json(obj)
-                key = (str(obj["app_id"]), str(obj["review_id"]))
+            triple = (int(obj["positive"]), int(obj["negative"]), str(obj.get("combined")))
+            score = checked.get(triple)
+            if score is None:
+                score = SentimentScore(*triple[:2])
+                if parse_combined(str(obj["combined"])) != combine(score):
+                    raise ArchiveError(f"combined {obj['combined']!r} does not match {triple[:2]}")
+                checked[triple] = score
+            key = (str(obj["app_id"]), str(obj["review_id"]))
             archive.set_score(*key, score)
             accept("score", key, lineno)
         except (ArchiveError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -243,7 +243,8 @@ def children_left() -> bool:
 
 class UnformattableTitle(str):
     """A title that ``len`` measures but an f-string cannot format, so a
-    review holding it fails only where it is scored."""
+    text holding it fails only where it is scored. A ``Review`` takes only
+    ``str``: score it as the title of any object with a body."""
 
     def __format__(self, spec):
         raise LookupError(f"cannot format {str(self)!r}")
@@ -251,7 +252,8 @@ class UnformattableTitle(str):
 
 class KillingTitle(str):
     """A title that SIGKILLs the process that formats it when that is not
-    the process that made it (a forked worker), as the OOM killer would."""
+    the process that made it (a forked worker), as the OOM killer would.
+    Like ``UnformattableTitle``, the title of an object with a body."""
 
     def __new__(cls, value):
         title = super().__new__(cls, value)

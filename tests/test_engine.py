@@ -5,6 +5,7 @@ import random
 import threading
 import time
 from itertools import pairwise
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -472,7 +473,7 @@ def test_no_pool_for_a_batch_of_one_slice(monkeypatch):
 
 @pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "this_process"])
 def test_scoring_error_reaches_caller_with_its_type(monkeypatch, in_worker):
-    bad = make_review("app1", "bad", title=UnformattableTitle("bad"), body="x")
+    bad = SimpleNamespace(title=UnformattableTitle("bad"), body="x")
     middle = make_review("app1", "middle", body="sad " * 3000)
     other = make_review("app1", "other", body="x")
     # two slices: the first two reviews, scored here, and the last one
@@ -493,7 +494,7 @@ def test_scoring_error_reaches_caller_with_its_type(monkeypatch, in_worker):
 
 
 def test_error_in_this_process_kills_and_reaps_the_worker(monkeypatch):
-    bad = make_review("app1", "bad", title=UnformattableTitle("bad"), body="x")
+    bad = SimpleNamespace(title=UnformattableTitle("bad"), body="x")
     middle = make_review("app1", "middle", body="sad " * 3000)
     # two slices: the first two reviews, scored here, and the last one
     reviews = [bad, middle, make_review("app1", "other", body="x")]
@@ -515,14 +516,15 @@ WORKER_ENDED = (
 # a child interpreter whose third review kills the worker that scores it,
 # once the worker has scored the review before it
 DYING_WORKER_SCRIPT = """
-from helpers import KillingTitle, children_left, make_review
+from types import SimpleNamespace
+from helpers import KillingTitle, children_left
 from reviewsent import engine
 from reviewsent.lexicon import load_builtin_lexicon
 
 engine.usable_cpus = lambda: 2
 engine.MIN_CHARS_PER_PROCESS = 1
 titles = ["t", "t", "t", KillingTitle("t")]
-reviews = [make_review("app1", f"r{i}", title=t, body="good " * 1000) for i, t in enumerate(titles)]
+reviews = [SimpleNamespace(title=t, body="good " * 1000) for t in titles]
 try:
     engine.score_reviews(load_builtin_lexicon(), reviews)
 except ChildProcessError as exc:

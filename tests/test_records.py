@@ -163,13 +163,36 @@ RECORDS = [
 INVALID = [
     (SentimentScore, "positive", 0, ValueError, "positive strength 0 outside [1,5]"),
     (SentimentScore, "negative", 0, ValueError, "negative strength 0 outside [-5,-1]"),
+    (SentimentScore, "positive", True, ValueError, "score: positive must be int, not bool"),
+    (SentimentScore, "negative", -2.0, ValueError, "score: negative must be int, not float"),
     (AppRecord, "app_id", "", ArchiveError, "app_id must be nonempty"),
     (AppRecord, "price", float("nan"), ArchiveError, "app a1: price nan is not finite"),
     (AppRecord, "price", -1.0, ArchiveError, "app a1: price -1.0 < 0"),
+    (AppRecord, "app_id", 7, ArchiveError, "app 7: app_id must be str, not int"),
+    (AppRecord, "name", None, ArchiveError, "app a1: name must be str, not NoneType"),
+    (AppRecord, "price", 0, ArchiveError, "app a1: price must be float, not int"),
+    (AppRecord, "current_version", 1.0, ArchiveError,
+     "app a1: current_version must be str, not float"),
     (Review, "app_id", "", ArchiveError, "review_id and app_id must be nonempty"),
     (Review, "rating", 6, ArchiveError, "review r1: rating 6 outside [1,5]"),
     (Review, "helpful_votes", -1, ArchiveError, "review r1: helpful_votes -1 < 0"),
+    (Review, "review_id", 7, ArchiveError, "review 7: review_id must be str, not int"),
+    (Review, "app_id", 7, ArchiveError, "review r1: app_id must be str, not int"),
+    (Review, "title", None, ArchiveError, "review r1: title must be str, not NoneType"),
+    (Review, "rating", True, ArchiveError, "review r1: rating must be int, not bool"),
+    (Review, "rating", 4.0, ArchiveError, "review r1: rating must be int, not float"),
+    (Review, "date", dt.datetime(2016, 1, 4), ArchiveError,
+     "review r1: date must be date, not datetime"),
+    (Review, "date", "2016-01-04", ArchiveError, "review r1: date must be date, not str"),
+    (Review, "helpful_votes", True, ArchiveError,
+     "review r1: helpful_votes must be int, not bool"),
+    (Review, "app_version", None, ArchiveError,
+     "review r1: app_version must be str, not NoneType"),
     (Release, "version", "", ArchiveError, "release app_id and version must be nonempty"),
+    (Release, "app_id", 7, ArchiveError, "release 7 2.0: app_id must be str, not int"),
+    (Release, "date", dt.datetime(2016, 1, 4), ArchiveError,
+     "release a1 2.0: date must be date, not datetime"),
+    (Release, "notes", None, ArchiveError, "release a1 2.0: notes must be str, not NoneType"),
     (EmojiEntry, "emoji", "", EmojiLexiconError, "empty emoji codepoint sequence"),
     (EmojiEntry, "occurrences", -1, EmojiLexiconError,
      "negative occurrence count for '\U0001F600'"),
@@ -184,6 +207,14 @@ INVALID = [
     (Lexicon, "slang", {"gr8": ""}, LexiconError, "slang 'gr8' maps to an empty term"),
     (Lexicon, "boosters", {"good": 1}, LexiconError,
      "terms present in both sentiment and booster dictionaries: ['good']"),
+    (Lexicon, "sentiment_terms", {"good": 2.5}, LexiconError,
+     "sentiment term 'good' has score 2.5, expected an int"),
+    (Lexicon, "sentiment_terms", {"good": True}, LexiconError,
+     "sentiment term 'good' has score True, expected an int"),
+    (Lexicon, "boosters", {"very": 1.0}, LexiconError,
+     "booster 'very' has boost 1.0, expected an int"),
+    (Lexicon, "emoticons", {":)": True}, LexiconError,
+     "emoticon ':)' has score True, expected an int"),
     (PatternConfig, "jump_threshold", float("nan"), ValueError, "jump_threshold must be > 0"),
     (PatternConfig, "window", 0, ValueError, "window must be >= 1"),
     (PatternConfig, "slope_threshold", 0.0, ValueError, "slope_threshold must be > 0"),
@@ -214,10 +245,22 @@ def _ids(cases):
     return [case[0].__name__ for case in cases]
 
 
+def _invalid_id(cls, field, value, *_):
+    """``Type.field``, then each type in ``value`` (or in the mapping
+    ``value``'s values) that the field's valid value does not hold."""
+    valid = dict(FIELDS[cls])[field]
+    if isinstance(valid, dict):
+        value, valid = value.values(), valid.values()
+    else:
+        value, valid = [value], [valid]
+    odd = sorted({type(v).__name__ for v in value} - {type(v).__name__ for v in valid})
+    return "-".join([f"{cls.__name__}.{field}", *odd])
+
+
 @pytest.mark.parametrize(
     "cls, field, value, error, message",
     INVALID,
-    ids=[f"{cls.__name__}.{field}" for cls, field, *_ in INVALID],
+    ids=[_invalid_id(*case) for case in INVALID],
 )
 def test_every_way_of_building_checks_the_same(cls, field, value, error, message):
     kwargs = dict(FIELDS[cls], **{field: value})
